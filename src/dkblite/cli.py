@@ -9,7 +9,6 @@ output is deterministic for equal inputs and flags.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 
@@ -17,9 +16,15 @@ from . import kb as K
 from .engine import ResourceLimitError, answer_sets, ground
 from .normalize import normalize
 from .oracle import DepthExceeded, oracle_models
-from .parser import ParseError, parse_dkb, parse_query
+from .parser import ParseError, parse_dkb, parse_query, render_dkb
 from .program import export_asp_text
-from .reasoner import entails, json_report, justified_models, satisfiable
+from .reasoner import (
+    decode_model,
+    entails,
+    json_report,
+    justified_models,
+    satisfiable,
+)
 from .translate import UnknownNameError, output_atom, translate
 
 EXIT_OK = 0
@@ -97,7 +102,7 @@ def _parse_query_arg(args) -> K.Axiom:
 
 
 def _cmd_check_sat(kb: K.DKB, args) -> int:
-    sat = satisfiable(kb, ovr_on_aux=args.ovr_on_aux)
+    sat = satisfiable(kb, max_ovr=args.max_ovr, ovr_on_aux=args.ovr_on_aux)
     if args.format == "json":
         print(json.dumps({"satisfiable": sat}))
     else:
@@ -150,16 +155,6 @@ def _cmd_translate(kb: K.DKB, args) -> int:
     return EXIT_OK
 
 
-def _render_surface(kb: K.DKB) -> str:
-    v = kb.vocabulary
-    lines = [f"concept {n}." for n in v.concepts]
-    lines += [f"role {n}." for n in v.roles]
-    lines += [f"individual {n}." for n in v.individuals]
-    lines += [f"{ax.text()}." for ax in kb.strict]
-    lines += [f"D({ax.text()})." for ax in kb.defeasible]
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_normalize(kb: K.DKB, args) -> int:
     if args.format == "json":
         v = kb.vocabulary
@@ -171,25 +166,14 @@ def _cmd_normalize(kb: K.DKB, args) -> int:
             "defeasible": [ax.text() for ax in kb.defeasible],
         }, indent=2))
     else:
-        sys.stdout.write(_render_surface(kb))
+        sys.stdout.write(render_dkb(kb))
     return EXIT_OK
-
-
-def _named_queries(kb: K.DKB):
-    v = kb.vocabulary
-    for c in v.concepts:
-        for a in v.individuals:
-            yield K.concept_assertion(c, a)
-    for r in v.roles:
-        for a, b in itertools.product(v.individuals, repeat=2):
-            yield K.role_assertion(r, a, b)
 
 
 def _cmd_oracle_check(kb: K.DKB, args) -> int:
     p = translate(kb, args.ovr_on_aux)
     sets_ = answer_sets(ground(p), max_ovr=args.max_ovr)
-    reports = justified_models(kb, max_ovr=args.max_ovr,
-                               ovr_on_aux=args.ovr_on_aux)
+    reports = [decode_model(kb, m) for m in sets_]
     omodels = oracle_models(kb, depth_cap=args.depth_cap)
 
     disagreements: list[str] = []
@@ -209,7 +193,7 @@ def _cmd_oracle_check(kb: K.DKB, args) -> int:
         return all(m.holds(atom) for _, m in omodels)
 
     checked = 0
-    for q in _named_queries(kb):
+    for q in K.named_queries(kb):
         checked += 1
         atom = output_atom(p, q)
         pipe = (all(atom in m.literals for m in sets_)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .program import Literal, Program, Rule, is_var
 
@@ -238,19 +238,22 @@ def _assumption_universe(gp: GroundProgram) -> tuple[Literal, ...]:
     return tuple(sorted(u))
 
 
-def answer_sets(gp: GroundProgram, max_ovr: int = 20) -> list[AnswerSet]:
-    """All answer sets, by guess-and-check over the assumption universe.
+def iter_answer_sets(gp: GroundProgram,
+                     max_ovr: int = 20) -> Iterator[AnswerSet]:
+    """Answer sets by guess-and-check over the assumption universe, from
+    the largest guess to the smallest.
 
     A guess X is accepted when the least model M of the reduct under X is
     consistent and M reproduces X on the universe.  Guesses outside the
     least model of the negation-free over-approximation are skipped: the
     reduct under any X is a subprogram of that over-approximation, so its
-    least model can never contain them.
+    least model can never contain them.  The first guess assumes every
+    remaining atom, so its reduct is a subprogram of every other reduct:
+    when its least model is inconsistent, so is every other, and there is
+    no answer set.  The max_ovr cap is checked after that first guess,
+    before the rest of the search.
     """
     universe = _assumption_universe(gp)
-    if len(universe) > max_ovr:
-        raise ResourceLimitError(
-            f"assumption universe has {len(universe)} atoms (cap {max_ovr})")
     solver = _Solver(gp)
     uids = [solver.index[a] for a in universe]
     uset = frozenset(uids)
@@ -258,21 +261,30 @@ def answer_sets(gp: GroundProgram, max_ovr: int = 20) -> list[AnswerSet]:
     assert not isinstance(upper, _Inconsistent)
     possible = [i for i in uids if i in upper]
 
-    found: list[AnswerSet] = []
-    for k in range(len(possible) + 1):
-        for combo in itertools.combinations(possible, k):
-            x = frozenset(combo)
-            m = solver.least_ids(x)
-            if m is INCONSISTENT:
-                continue
-            if m & uset != x:
-                continue
+    guesses = itertools.chain.from_iterable(
+        itertools.combinations(possible, k)
+        for k in range(len(possible), -1, -1))
+    for n, combo in enumerate(guesses):
+        x = frozenset(combo)
+        m = solver.least_ids(x)
+        if m is INCONSISTENT:
+            if n == 0:
+                return
+            continue
+        if m & uset == x:
             lits = solver.decode(m)
-            found.append(AnswerSet(
+            yield AnswerSet(
                 literals=lits,
-                ovr_atoms=frozenset(l for l in lits if l.pred == "ovr")))
-    found.sort(key=AnswerSet.sort_key)
-    return found
+                ovr_atoms=frozenset(l for l in lits if l.pred == "ovr"))
+        if n == 0 and len(universe) > max_ovr:
+            raise ResourceLimitError(
+                f"assumption universe has {len(universe)} atoms"
+                f" (cap {max_ovr})")
+
+
+def answer_sets(gp: GroundProgram, max_ovr: int = 20) -> list[AnswerSet]:
+    """All answer sets of gp, sorted; see iter_answer_sets."""
+    return sorted(iter_answer_sets(gp, max_ovr), key=AnswerSet.sort_key)
 
 
 def is_answer_set(gp: GroundProgram, i: Iterable[Literal]) -> bool:

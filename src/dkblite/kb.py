@@ -316,3 +316,14 @@ def ca_candidates(kb: DKB) -> tuple[ClashingAssumption, ...]:
             for tup in product(inds, repeat=arity):
                 out.append(ClashingAssumption(ax, tup))
     return tuple(out)
+
+
+def named_queries(kb: DKB) -> tuple[Axiom, ...]:
+    """Every positive ground assertion over the named individuals:
+    concept assertions, then role assertions, in vocabulary order."""
+    v = kb.vocabulary
+    out = [concept_assertion(c, a) for c in v.concepts
+           for a in v.individuals]
+    out += [role_assertion(r, a, b) for r in v.roles
+            for a, b in product(v.individuals, repeat=2)]
+    return tuple(out)

@@ -491,6 +491,18 @@ def parse_dkb(text: str) -> SurfaceKB:
                      tuple(sorted(reg.individuals)))
 
 
+def render_dkb(kb: K.DKB) -> str:
+    """The surface text of a normal-form KB: declarations, then strict
+    axioms, then D(...)-wrapped defeasible ones."""
+    v = kb.vocabulary
+    lines = [f"concept {n}." for n in v.concepts]
+    lines += [f"role {n}." for n in v.roles]
+    lines += [f"individual {n}." for n in v.individuals]
+    lines += [f"{ax.text()}." for ax in kb.strict]
+    lines += [f"D({ax.text()})." for ax in kb.defeasible]
+    return "\n".join(lines) + "\n"
+
+
 def parse_query(text: str) -> K.Axiom:
     """Parse a ground assertion query: A(a), R(a,b), or their negations."""
     toks = _tokenize(text)

@@ -148,7 +148,9 @@ def _tokenize(text: str):
 
 
 def parse_asp_text(text: str) -> Program:
-    """Inverse of export_asp_text, used for round-trip checks and fixtures.
+    """Inverse of export_asp_text, except that rule names (trailing
+    comments) are dropped.  Loads the rule schema; also used for
+    round-trip checks and fixtures.
 
     Uppercase-initial identifiers become variables, quoted strings and
     lowercase identifiers become constants.

@@ -1,12 +1,10 @@
 """Satisfiability, instance entailment, and model reporting for a DKB.
 
 Everything funnels through the same pipeline: compile the KB to a
-program, ground it, and inspect answer sets.  Satisfiability takes a
-shortcut that needs no enumeration: overriding every candidate
-exception at once yields the least constrained consequence set, and
-the KB has a justified model exactly when that single least model is
-consistent.  Entailment and reporting enumerate answer sets and decode
-the exception atoms back to clashing assumptions.
+program, ground it, and inspect answer sets.  Satisfiability stops at
+the first answer set the search finds; entailment and reporting
+enumerate them all and decode the exception atoms back to clashing
+assumptions.
 """
 
 from __future__ import annotations
@@ -14,15 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import kb as K
-from .engine import (
-    INCONSISTENT,
-    AnswerSet,
-    GroundProgram,
-    answer_sets,
-    ground,
-    least_model,
-    reduct,
-)
+from .engine import AnswerSet, answer_sets, ground, iter_answer_sets
 from .translate import decode_ovr, output_atom, translate
 
 __all__ = [
@@ -30,6 +20,7 @@ __all__ = [
     "JustifiedModelReport",
     "satisfiable",
     "entails",
+    "decode_model",
     "justified_models",
     "json_report",
 ]
@@ -57,22 +48,12 @@ class JustifiedModelReport:
     derived_negative: frozenset[K.Axiom]
 
 
-def _assumption_universe(gp: GroundProgram) -> frozenset:
-    u = set(gp.ovr_universe)
-    for r in gp.rules:
-        u.update(r.naf)
-    return frozenset(u)
-
-
-def satisfiable(kb: K.DKB, ovr_on_aux: bool = False) -> bool:
-    """Decide satisfiability with a single least-model computation.
-
-    Dropping every rule guarded by a candidate exception leaves the
-    fewest derivable consequences any answer set could contain; a clash
-    in that set dooms every candidate, and consistency there is what a
-    justified model needs."""
+def satisfiable(kb: K.DKB, max_ovr: int = 20,
+                ovr_on_aux: bool = False) -> bool:
+    """True iff the KB has a justified model; the search stops at the
+    first one it finds."""
     gp = ground(translate(kb, ovr_on_aux))
-    return least_model(reduct(gp, _assumption_universe(gp))) is not INCONSISTENT
+    return next(iter_answer_sets(gp, max_ovr=max_ovr), None) is not None
 
 
 def entails(kb: K.DKB, query: K.Axiom, max_ovr: int = 20,
@@ -97,7 +78,8 @@ def _ca_key(ca: K.ClashingAssumption) -> tuple:
     return (ca.axiom.shape, ca.axiom.args, ca.args)
 
 
-def _decode(kb: K.DKB, m: AnswerSet) -> JustifiedModelReport:
+def decode_model(kb: K.DKB, m: AnswerSet) -> JustifiedModelReport:
+    """The report of one answer set of the KB's compiled program."""
     chi = sorted((decode_ovr(a) for a in m.ovr_atoms), key=_ca_key)
     assert len(set(chi)) == len(chi)
     pos: list[K.Axiom] = []
@@ -123,7 +105,7 @@ def justified_models(kb: K.DKB, max_ovr: int = 20,
                      ovr_on_aux: bool = False) -> list[JustifiedModelReport]:
     """One report per answer set; empty list iff the KB is unsatisfiable."""
     models = answer_sets(ground(translate(kb, ovr_on_aux)), max_ovr=max_ovr)
-    return [_decode(kb, m) for m in models]
+    return [decode_model(kb, m) for m in models]
 
 
 def json_report(kb: K.DKB, max_ovr: int = 20,

@@ -228,14 +228,8 @@ def _pragma(text: str, key: str) -> str:
 
 
 def render_flatkb(k: FlatKB, query: K.Axiom) -> str:
-    kb = K.DKB.from_axioms(strict=k.tbox + k.abox)
-    lines = [f"%! query: {query.text()}"]
-    v = kb.vocabulary
-    lines += [f"concept {n}." for n in v.concepts]
-    lines += [f"role {n}." for n in v.roles]
-    lines += [f"individual {n}." for n in v.individuals]
-    lines += [f"{ax.text()}." for ax in k.tbox + k.abox]
-    return "\n".join(lines) + "\n"
+    return (f"%! query: {query.text()}\n"
+            + parser.render_dkb(K.DKB.from_axioms(strict=k.tbox + k.abox)))
 
 
 def parse_flatkb(text: str) -> tuple[FlatKB, K.Axiom]:
@@ -249,13 +243,7 @@ def parse_flatkb(text: str) -> tuple[FlatKB, K.Axiom]:
 
 
 def render_2cnf(f: Positive2CNF) -> str:
-    kb = from_2cnf(f)
-    lines = [f"%! target: {f.target}"]
-    lines += [f"concept {n}." for n in kb.vocabulary.concepts]
-    lines += ["individual a."]
-    lines += [f"{ax.text()}." for ax in kb.strict]
-    lines += [f"D({ax.text()})." for ax in kb.defeasible]
-    return "\n".join(lines) + "\n"
+    return f"%! target: {f.target}\n" + parser.render_dkb(from_2cnf(f))
 
 
 def parse_2cnf(text: str) -> Positive2CNF:

@@ -2,9 +2,9 @@
 
 The program has three layers: input facts describing the knowledge base
 (one fact per axiom, plus signature facts nom/cls/rol), a fixed rule
-schema (strict inference rules, overriding rules that recognize
-exceptional instances, application rules that apply defeasible axioms
-unless overridden), and supporting facts enumerating the constant pool as
+schema read from rules/pk_schema.lp (strict inference rules, overriding
+rules that recognize exceptional instances, application rules that apply
+defeasible axioms unless overridden), and supporting facts enumerating the constant pool as
 a chain (const/first/next/last) so that "x has no r-successor among all
 constants" is computable by recursion along the chain.
 
@@ -21,8 +21,12 @@ constant for experimentation.
 
 from __future__ import annotations
 
+import importlib.resources
+import re
+from dataclasses import replace
+
 from . import kb as K
-from .program import Literal, Program, Rule, lit, neg
+from .program import Literal, Program, Rule, lit, neg, parse_asp_text
 
 AUX_PREFIX = "aux_"
 
@@ -43,216 +47,35 @@ OVR_TAG = {
 }
 _TAG_SHAPE = {v: k for k, v in OVR_TAG.items()}
 
-# Predicates whose extension is fixed by the input facts; everything else
-# (instd, tripled, all_nrel_step, all_nrel, ovr) is derived.
-EDB_PREDICATES = frozenset((
-    "nom", "cls", "rol", "const", "first", "next", "last",
-    "insta", "triplea",
-    "subClass", "supNot", "subEx", "supEx", "subRole", "dis", "inv", "irr",
-    "def_insta", "def_triplea", "def_ninsta", "def_ntriplea",
-    "def_subclass", "def_supnot", "def_subex", "def_supex",
-    "def_subr", "def_dis", "def_inv", "def_irr",
-))
-
-
-def strict_rules() -> tuple[Rule, ...]:
-    """Inference rules for strict axioms, including the contrapositive
-    rules for negative information and the no-successor chain."""
-    x, y, y1, w = "?x", "?y", "?y1", "?w"
-    c, d, r, s = "?c", "?d", "?r", "?s"
-    return (
-        Rule(lit("instd", x, c), (lit("insta", x, c),), name="dl_inst"),
-        Rule(lit("tripled", x, r, y), (lit("triplea", x, r, y),), name="dl_triple"),
-        Rule(lit("instd", x, d),
-             (lit("subClass", c, d), lit("instd", x, c)), name="dl_subc"),
-        Rule(neg("instd", x, d),
-             (lit("supNot", c, d), lit("instd", x, c)), name="dl_supnot"),
-        Rule(lit("instd", x, d),
-             (lit("subEx", r, d), lit("tripled", x, r, y)), name="dl_subex"),
-        Rule(lit("tripled", x, r, w),
-             (lit("supEx", c, r, w), lit("instd", x, c)), name="dl_supex"),
-        Rule(lit("tripled", x, s, y),
-             (lit("subRole", r, s), lit("tripled", x, r, y)), name="dl_subr"),
-        Rule(neg("tripled", x, r, y),
-             (lit("dis", r, s), lit("tripled", x, s, y)), name="dl_dis1"),
-        Rule(neg("tripled", x, s, y),
-             (lit("dis", r, s), lit("tripled", x, r, y)), name="dl_dis2"),
-        Rule(lit("tripled", y, s, x),
-             (lit("inv", r, s), lit("tripled", x, r, y)), name="dl_inv1"),
-        Rule(lit("tripled", y, r, x),
-             (lit("inv", r, s), lit("tripled", x, s, y)), name="dl_inv2"),
-        Rule(neg("tripled", x, r, x),
-             (lit("irr", r), lit("const", x)), name="dl_irr"),
-        Rule(neg("instd", x, c), (neg("insta", x, c),), name="dl_ninst"),
-        Rule(neg("tripled", x, r, y), (neg("triplea", x, r, y),), name="dl_ntriple"),
-        Rule(neg("instd", x, c),
-             (lit("subClass", c, d), neg("instd", x, d)), name="dl_nsubc"),
-        # Contrapositive of "c implies not d": needs the positive fact.
-        Rule(neg("instd", x, c),
-             (lit("supNot", c, d), lit("instd", x, d)), name="dl_nsupnot"),
-        Rule(neg("tripled", x, r, y),
-             (lit("subEx", r, d), lit("const", y), neg("instd", x, d)),
-             name="dl_nsubex"),
-        Rule(neg("instd", x, c),
-             (lit("supEx", c, r, w), lit("const", x), lit("all_nrel", x, r)),
-             name="dl_nsupex"),
-        Rule(neg("tripled", x, r, y),
-             (lit("subRole", r, s), neg("tripled", x, s, y)), name="dl_nsubr"),
-        Rule(neg("tripled", y, s, x),
-             (lit("inv", r, s), neg("tripled", x, r, y)), name="dl_ninv1"),
-        Rule(neg("tripled", y, r, x),
-             (lit("inv", r, s), neg("tripled", x, s, y)), name="dl_ninv2"),
-        # rol(r) keeps the role variable role-sorted during grounding.
-        Rule(lit("all_nrel_step", x, r, y),
-             (lit("rol", r), lit("first", y), neg("tripled", x, r, y)),
-             name="dl_chain1"),
-        Rule(lit("all_nrel_step", x, r, y),
-             (lit("rol", r), lit("all_nrel_step", x, r, y1),
-              lit("next", y1, y), neg("tripled", x, r, y)),
-             name="dl_chain2"),
-        Rule(lit("all_nrel", x, r),
-             (lit("rol", r), lit("last", y), lit("all_nrel_step", x, r, y)),
-             name="dl_chain3"),
-    )
-
-
-def overriding_rules(ovr_on_aux: bool = False) -> tuple[Rule, ...]:
-    """Rules deriving ovr atoms: one per way a defeasible axiom can clash.
-
-    The guard predicate restricts exception subjects to named individuals
-    unless ovr_on_aux is set.
-    """
-    g = "const" if ovr_on_aux else "nom"
-    x, y, w = "?x", "?y", "?w"
-    c, d, r, s = "?c", "?d", "?r", "?s"
-    return (
-        Rule(lit("ovr", "insta", x, c),
-             (lit("def_insta", x, c), neg("instd", x, c)), name="ovr_inst"),
-        Rule(lit("ovr", "triplea", x, r, y),
-             (lit("def_triplea", x, r, y), neg("tripled", x, r, y)),
-             name="ovr_triple"),
-        Rule(lit("ovr", "ninsta", x, c),
-             (lit("def_ninsta", x, c), lit("instd", x, c)), name="ovr_ninst"),
-        Rule(lit("ovr", "ntriplea", x, r, y),
-             (lit("def_ntriplea", x, r, y), lit("tripled", x, r, y)),
-             name="ovr_ntriple"),
-        Rule(lit("ovr", "subClass", x, c, d),
-             (lit("def_subclass", c, d), lit(g, x),
-              lit("instd", x, c), neg("instd", x, d)), name="ovr_subc"),
-        Rule(lit("ovr", "supNot", x, c, d),
-             (lit("def_supnot", c, d), lit(g, x),
-              lit("instd", x, c), lit("instd", x, d)), name="ovr_supnot"),
-        Rule(lit("ovr", "subEx", x, r, d),
-             (lit("def_subex", r, d), lit(g, x),
-              lit("tripled", x, r, y), neg("instd", x, d)), name="ovr_subex"),
-        Rule(lit("ovr", "supEx", x, c, r, w),
-             (lit("def_supex", c, r, w), lit(g, x),
-              lit("instd", x, c), lit("all_nrel", x, r)), name="ovr_supex"),
-        Rule(lit("ovr", "subRole", x, y, r, s),
-             (lit("def_subr", r, s), lit(g, x), lit(g, y),
-              lit("tripled", x, r, y), neg("tripled", x, s, y)),
-             name="ovr_subr"),
-        Rule(lit("ovr", "dis", x, y, r, s),
-             (lit("def_dis", r, s), lit(g, x), lit(g, y),
-              lit("tripled", x, r, y), lit("tripled", x, s, y)),
-             name="ovr_dis"),
-        Rule(lit("ovr", "inv", x, y, r, s),
-             (lit("def_inv", r, s), lit(g, x), lit(g, y),
-              lit("tripled", x, r, y), neg("tripled", y, s, x)),
-             name="ovr_inv1"),
-        Rule(lit("ovr", "inv", x, y, r, s),
-             (lit("def_inv", r, s), lit(g, x), lit(g, y),
-              lit("tripled", y, s, x), neg("tripled", x, r, y)),
-             name="ovr_inv2"),
-        Rule(lit("ovr", "irr", x, r),
-             (lit("def_irr", r), lit(g, x), lit("tripled", x, r, x)),
-             name="ovr_irr"),
-    )
-
-
-def application_rules() -> tuple[Rule, ...]:
-    """Rules applying defeasible axioms wherever they are not overridden.
-
-    Mirrors the strict rules, with the axiom fact swapped for its
-    defeasible variant and a default-negated ovr guard.  The guard tuple
-    for inverse-role rules is always the pair in first-role orientation.
-    """
-    x, y, w = "?x", "?y", "?w"
-    c, d, r, s = "?c", "?d", "?r", "?s"
-    o = lambda *args: lit("ovr", *args)
-    return (
-        Rule(lit("instd", x, c), (lit("def_insta", x, c),),
-             (o("insta", x, c),), name="app_inst"),
-        Rule(lit("tripled", x, r, y), (lit("def_triplea", x, r, y),),
-             (o("triplea", x, r, y),), name="app_triple"),
-        Rule(neg("instd", x, c), (lit("def_ninsta", x, c),),
-             (o("ninsta", x, c),), name="app_ninst"),
-        Rule(neg("tripled", x, r, y), (lit("def_ntriplea", x, r, y),),
-             (o("ntriplea", x, r, y),), name="app_ntriple"),
-        Rule(lit("instd", x, d),
-             (lit("def_subclass", c, d), lit("instd", x, c)),
-             (o("subClass", x, c, d),), name="app_subc"),
-        Rule(neg("instd", x, d),
-             (lit("def_supnot", c, d), lit("instd", x, c)),
-             (o("supNot", x, c, d),), name="app_supnot"),
-        Rule(lit("instd", x, d),
-             (lit("def_subex", r, d), lit("tripled", x, r, y)),
-             (o("subEx", x, r, d),), name="app_subex"),
-        Rule(lit("tripled", x, r, w),
-             (lit("def_supex", c, r, w), lit("instd", x, c)),
-             (o("supEx", x, c, r, w),), name="app_supex"),
-        Rule(lit("tripled", x, s, y),
-             (lit("def_subr", r, s), lit("tripled", x, r, y)),
-             (o("subRole", x, y, r, s),), name="app_subr"),
-        Rule(neg("tripled", x, r, y),
-             (lit("def_dis", r, s), lit("tripled", x, s, y)),
-             (o("dis", x, y, r, s),), name="app_dis1"),
-        Rule(neg("tripled", x, s, y),
-             (lit("def_dis", r, s), lit("tripled", x, r, y)),
-             (o("dis", x, y, r, s),), name="app_dis2"),
-        Rule(lit("tripled", y, s, x),
-             (lit("def_inv", r, s), lit("tripled", x, r, y)),
-             (o("inv", x, y, r, s),), name="app_inv1"),
-        Rule(lit("tripled", x, r, y),
-             (lit("def_inv", r, s), lit("tripled", y, s, x)),
-             (o("inv", x, y, r, s),), name="app_inv2"),
-        Rule(neg("tripled", x, r, x),
-             (lit("def_irr", r), lit("const", x)),
-             (o("irr", x, r),), name="app_irr"),
-        Rule(neg("instd", x, c),
-             (lit("def_subclass", c, d), neg("instd", x, d)),
-             (o("subClass", x, c, d),), name="app_nsubc"),
-        Rule(neg("instd", x, c),
-             (lit("def_supnot", c, d), lit("instd", x, d)),
-             (o("supNot", x, c, d),), name="app_nsupnot"),
-        Rule(neg("tripled", x, r, y),
-             (lit("def_subex", r, d), lit("const", y), neg("instd", x, d)),
-             (o("subEx", x, r, d),), name="app_nsubex"),
-        Rule(neg("instd", x, c),
-             (lit("def_supex", c, r, w), lit("const", x),
-              lit("all_nrel", x, r)),
-             (o("supEx", x, c, r, w),), name="app_nsupex"),
-        Rule(neg("tripled", x, r, y),
-             (lit("def_subr", r, s), neg("tripled", x, s, y)),
-             (o("subRole", x, y, r, s),), name="app_nsubr"),
-        Rule(neg("tripled", y, s, x),
-             (lit("def_inv", r, s), neg("tripled", x, r, y)),
-             (o("inv", x, y, r, s),), name="app_ninv1"),
-        Rule(neg("tripled", x, r, y),
-             (lit("def_inv", r, s), neg("tripled", y, s, x)),
-             (o("inv", x, y, r, s),), name="app_ninv2"),
-    )
-
-
 _SCHEMA_CACHE: dict[bool, tuple[Rule, ...]] = {}
 
 
+def _load_schema() -> tuple[Rule, ...]:
+    """The rules of rules/pk_schema.lp, named by each line's trailing
+    comment."""
+    text = (importlib.resources.files(__package__) / "rules"
+            / "pk_schema.lp").read_text(encoding="utf-8")
+    names = re.findall(r"%\s*(\w+)$", text, re.MULTILINE)
+    rules = parse_asp_text(text).rules
+    return tuple(replace(r, name=n) for r, n in zip(rules, names, strict=True))
+
+
+def _guard_on_const(r: Rule) -> Rule:
+    return replace(r, body=tuple(Literal(l.neg, "const", l.args)
+                                 if l.pred == "nom" else l for l in r.body))
+
+
 def schema_rules(ovr_on_aux: bool = False) -> tuple[Rule, ...]:
-    # The schema is fixed per guard flavour; rules are immutable, so the
-    # two variants are built once and shared.
+    """The fixed rule schema: deduction rules (dl_*), overriding rules
+    (ovr_*) and application rules (app_*).  With ovr_on_aux, the nom(x)
+    guards on exception subjects become const(x).
+
+    Read from the packaged file on first use and shared afterwards; rules
+    are immutable."""
     cached = _SCHEMA_CACHE.get(ovr_on_aux)
     if cached is None:
-        cached = strict_rules() + overriding_rules(ovr_on_aux) + application_rules()
+        cached = (tuple(_guard_on_const(r) for r in schema_rules())
+                  if ovr_on_aux else _load_schema())
         _SCHEMA_CACHE[ovr_on_aux] = cached
     return cached
 

@@ -50,15 +50,6 @@ def _verdict(criterion: str, ok: bool, elapsed: float, budget: float,
           f"{elapsed:.2f}s of {budget:g}s budget")
 
 
-def _named_queries(kb: K.DKB) -> list[K.Axiom]:
-    v = kb.vocabulary
-    qs = [K.concept_assertion(c, i) for c in v.concepts
-          for i in v.individuals]
-    qs += [K.role_assertion(r, i, j) for r in v.roles
-           for i in v.individuals for j in v.individuals]
-    return qs
-
-
 # --- criterion 1: the worked example, verbatim ---
 
 def test_worked_example_fidelity(k_dept):
@@ -95,7 +86,7 @@ def test_reasoner_agrees_with_oracle_on_random_corpus():
     checked = 0
     mismatches = []
     for kb in kbs:
-        for q in _named_queries(kb):
+        for q in K.named_queries(kb):
             checked += 1
             if bool(entails(kb, q)) != oracle_answer(kb, q, depth_cap=12):
                 mismatches.append((kb, q))

@@ -52,6 +52,25 @@ def test_check_sat_exit_codes(capsys, dept_path, unsat_path):
     assert (code, out, err) == (EXIT_NO, "unsatisfiable\n", "")
 
 
+def test_check_sat_needs_a_justified_model(capsys, tmp_path):
+    p = tmp_path / "no_model.dkb"
+    p.write_text("Inv(S,R). Dis(R,S). D(R(a,a)).\n")
+    assert run(capsys, "check-sat", p) == (EXIT_NO, "unsatisfiable\n", "")
+    assert run(capsys, "models", p) == (EXIT_NO, "unsatisfiable\n", "")
+
+
+def test_check_sat_honours_max_ovr(capsys, tmp_path):
+    # Two exception candidates; assuming both is not a model, so the
+    # search goes past its first guess and the cap trips.
+    p = tmp_path / "nixon.dkb"
+    p.write_text("Quaker(n). Republican(n).\n"
+                 "D(Quaker [= Pacifist). D(Republican [= -Pacifist).\n")
+    assert run(capsys, "check-sat", p, "--max-ovr", "2")[0] == EXIT_OK
+    code, _, err = run(capsys, "check-sat", p, "--max-ovr", "1")
+    assert code == EXIT_LIMIT
+    assert err.startswith("resource limit:")
+
+
 def test_check_sat_json(capsys, dept_path):
     code, out, _ = run(capsys, "check-sat", dept_path, "--format", "json")
     assert code == EXIT_OK

@@ -12,6 +12,7 @@ from dkblite.engine import (
     answer_sets,
     ground,
     is_answer_set,
+    iter_answer_sets,
     least_model,
     make_ground_program,
     reduct,
@@ -189,6 +190,25 @@ def test_answer_sets_resource_cap():
     ])
     with pytest.raises(ResourceLimitError):
         answer_sets(gp3, max_ovr=2)
+
+
+def test_answer_sets_cap_trips_after_the_largest_guess():
+    # 21 default-negated atoms, above the default cap of 20.
+    guarded = [Rule(lit(f"p{i}"), (), (lit(f"q{i}"),)) for i in range(21)]
+    # A contradiction no guess can block: the largest guess is already
+    # inconsistent, so there is no answer set and the cap never trips.
+    gp = make_ground_program(guarded + [
+        Rule(lit("a"), (), ()),
+        Rule(neg("a"), (), ()),
+    ])
+    assert answer_sets(gp) == []
+    # The largest guess is an answer set: it is found before the cap is
+    # checked, and the cap trips only when the search goes on.
+    gp = make_ground_program(guarded)
+    search = iter_answer_sets(gp)
+    assert next(search).literals == {lit(f"p{i}") for i in range(21)}
+    with pytest.raises(ResourceLimitError):
+        next(search)
 
 
 # --- is_answer_set ---

@@ -6,7 +6,9 @@ import pytest
 
 from dkblite import kb as K
 from dkblite.engine import answer_sets, ground
+from dkblite.normalize import normalize
 from dkblite.oracle import oracle_answer, oracle_models
+from dkblite.parser import parse_dkb
 from dkblite.reasoner import (
     EntailmentResult,
     entails,
@@ -46,6 +48,15 @@ def test_satisfiable_strict_clash_is_false():
 
 def test_satisfiable_empty_kb():
     assert satisfiable(K.DKB.from_axioms())
+
+
+def test_satisfiable_needs_a_justified_model():
+    # Overriding the only defeasible axiom removes every clash, but the
+    # exception is not justified: without R(a,a) nothing clashes with it.
+    kb = normalize(parse_dkb("Inv(S,R). Dis(R,S). D(R(a,a))."))
+    assert not satisfiable(kb)
+    assert justified_models(kb) == []
+    assert oracle_models(kb) == []
 
 
 # --- entails ---

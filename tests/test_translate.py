@@ -11,17 +11,19 @@ from dkblite.kb import ClashingAssumption, DKB
 from dkblite.program import Program, export_asp_text, lit, neg, parse_asp_text
 from dkblite.translate import (
     UnknownNameError,
-    application_rules,
     aux_constants,
     aux_prefix,
     decode_ovr,
     output_atom,
-    overriding_rules,
     schema_rules,
-    strict_rules,
     supporting_facts,
     translate,
 )
+
+
+def rules_named(prefix: str, ovr_on_aux: bool = False):
+    return tuple(r for r in schema_rules(ovr_on_aux)
+                 if r.name.startswith(prefix))
 
 
 def test_schema_matches_golden_file():
@@ -33,21 +35,21 @@ def test_schema_matches_golden_file():
 def test_schema_rule_counts():
     # 24 deduction rules (including the 3 chain rules), 13 overriding
     # rules, 21 application rules.
-    assert len(strict_rules()) == 24
-    assert len(overriding_rules()) == 13
-    assert len(application_rules()) == 21
+    assert len(rules_named("dl_")) == 24
+    assert len(rules_named("ovr_")) == 13
+    assert len(rules_named("app_")) == 21
     names = [r.name for r in schema_rules()]
     assert len(set(names)) == 58
 
 
 def test_naf_only_on_ovr_in_application_rules():
-    for r in strict_rules() + overriding_rules():
+    for r in rules_named("dl_") + rules_named("ovr_"):
         assert r.naf == ()
-    for r in application_rules():
+    for r in rules_named("app_"):
         for l in r.naf:
             assert l.pred == "ovr"
             assert not l.neg
-    assert any(r.naf for r in application_rules())
+    assert any(r.naf for r in rules_named("app_"))
 
 
 def test_schema_round_trips_through_text():
@@ -172,8 +174,8 @@ def test_translate_deterministic(k_dept):
 
 
 def test_ovr_on_aux_swaps_subject_guards():
-    plain = overriding_rules()
-    on_aux = overriding_rules(ovr_on_aux=True)
+    plain = rules_named("ovr_")
+    on_aux = rules_named("ovr_", ovr_on_aux=True)
     assert len(plain) == len(on_aux)
     assert any(l.pred == "nom" for r in plain for l in r.body)
     assert not any(l.pred == "nom" for r in on_aux for l in r.body)
