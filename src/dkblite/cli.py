@@ -13,13 +13,14 @@ import json
 import sys
 
 from . import kb as K
-from .engine import ResourceLimitError, answer_sets, ground
+from .engine import MAX_OVR, ResourceLimitError, answer_sets, ground
 from .normalize import normalize
 from .oracle import DepthExceeded, oracle_models
 from .parser import ParseError, parse_dkb, parse_query, render_dkb
 from .program import export_asp_text
 from .reasoner import (
     decode_model,
+    entailment,
     entails,
     json_report,
     justified_models,
@@ -37,39 +38,6 @@ class _CliError(Exception):
     def __init__(self, code: int, message: str) -> None:
         super().__init__(message)
         self.code = code
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("input", help="DKB file in the surface syntax")
-    common.add_argument("--max-ovr", type=int, default=20,
-                        help="cap on exception candidates (default 20)")
-    common.add_argument("--depth-cap", type=int, default=3,
-                        help="oracle chase depth cap (default 3)")
-    common.add_argument("--ovr-on-aux", action="store_true",
-                        help="let exceptions range over aux constants")
-    common.add_argument("--extended-queries", action="store_true",
-                        help="allow negated assertion queries")
-    common.add_argument("--format", choices=("text", "json"),
-                        default="text")
-    top = argparse.ArgumentParser(
-        prog="dkblite",
-        description="Defeasible DL-Lite reasoning over answer sets.")
-    sub = top.add_subparsers(dest="command", required=True)
-    sub.add_parser("check-sat", parents=[common],
-                   help="decide satisfiability")
-    p = sub.add_parser("entail", parents=[common],
-                       help="decide a ground instance query")
-    p.add_argument("--query", help="assertion text, e.g. 'A(a)'")
-    sub.add_parser("models", parents=[common],
-                   help="report every justified model")
-    sub.add_parser("translate", parents=[common],
-                   help="emit the compiled program as ASP text")
-    sub.add_parser("normalize", parents=[common],
-                   help="emit the normal-form KB in the surface syntax")
-    sub.add_parser("oracle-check", parents=[common],
-                   help="cross-validate the pipeline against the oracle")
-    return top
 
 
 def _load(path: str) -> K.DKB:
@@ -102,7 +70,7 @@ def _parse_query_arg(args) -> K.Axiom:
 
 
 def _cmd_check_sat(kb: K.DKB, args) -> int:
-    sat = satisfiable(kb, max_ovr=args.max_ovr, ovr_on_aux=args.ovr_on_aux)
+    sat = satisfiable(kb, max_ovr=args.max_ovr)
     if args.format == "json":
         print(json.dumps({"satisfiable": sat}))
     else:
@@ -113,8 +81,7 @@ def _cmd_check_sat(kb: K.DKB, args) -> int:
 def _cmd_entail(kb: K.DKB, args) -> int:
     q = _parse_query_arg(args)
     try:
-        res = entails(kb, q, max_ovr=args.max_ovr,
-                      ovr_on_aux=args.ovr_on_aux)
+        res = entails(kb, q, max_ovr=args.max_ovr)
     except UnknownNameError as e:
         raise _CliError(EXIT_USAGE, f"--query: {e}")
     if args.format == "json":
@@ -128,12 +95,10 @@ def _cmd_entail(kb: K.DKB, args) -> int:
 
 def _cmd_models(kb: K.DKB, args) -> int:
     if args.format == "json":
-        rep = json_report(kb, max_ovr=args.max_ovr,
-                          ovr_on_aux=args.ovr_on_aux)
+        rep = json_report(kb, max_ovr=args.max_ovr)
         print(json.dumps(rep, indent=2))
         return EXIT_OK if rep["satisfiable"] else EXIT_NO
-    reports = justified_models(kb, max_ovr=args.max_ovr,
-                               ovr_on_aux=args.ovr_on_aux)
+    reports = justified_models(kb, max_ovr=args.max_ovr)
     if not reports:
         print("unsatisfiable")
         return EXIT_NO
@@ -151,7 +116,7 @@ def _cmd_models(kb: K.DKB, args) -> int:
 
 
 def _cmd_translate(kb: K.DKB, args) -> int:
-    sys.stdout.write(export_asp_text(translate(kb, args.ovr_on_aux)))
+    sys.stdout.write(export_asp_text(translate(kb)))
     return EXIT_OK
 
 
@@ -171,7 +136,7 @@ def _cmd_normalize(kb: K.DKB, args) -> int:
 
 
 def _cmd_oracle_check(kb: K.DKB, args) -> int:
-    p = translate(kb, args.ovr_on_aux)
+    p = translate(kb)
     sets_ = answer_sets(ground(p), max_ovr=args.max_ovr)
     reports = [decode_model(kb, m) for m in sets_]
     omodels = oracle_models(kb, depth_cap=args.depth_cap)
@@ -196,8 +161,7 @@ def _cmd_oracle_check(kb: K.DKB, args) -> int:
     for q in K.named_queries(kb):
         checked += 1
         atom = output_atom(p, q)
-        pipe = (all(atom in m.literals for m in sets_)
-                if sets_ else True)
+        pipe = entailment(sets_, atom).entailed
         orac = oracle_holds(q) if omodels else True
         if pipe != orac:
             disagreements.append(
@@ -222,14 +186,47 @@ def _cmd_oracle_check(kb: K.DKB, args) -> int:
     return EXIT_OK if not disagreements else EXIT_NO
 
 
-_COMMANDS = {
-    "check-sat": _cmd_check_sat,
-    "entail": _cmd_entail,
-    "models": _cmd_models,
-    "translate": _cmd_translate,
-    "normalize": _cmd_normalize,
-    "oracle-check": _cmd_oracle_check,
+_FLAGS = {
+    "--max-ovr": dict(type=int, default=MAX_OVR,
+                      help=f"cap on exception candidates (default {MAX_OVR})"),
+    "--depth-cap": dict(type=int, default=3,
+                        help="oracle chase depth cap (default 3)"),
+    "--extended-queries": dict(action="store_true",
+                               help="allow negated assertion queries"),
+    "--format": dict(choices=("text", "json"), default="text"),
+    "--query": dict(help="assertion text, e.g. 'A(a)'"),
 }
+
+# Each command with its help line and exactly the flags it reads.
+_COMMANDS = {
+    "check-sat": (_cmd_check_sat, "decide satisfiability",
+                  ("--max-ovr", "--format")),
+    "entail": (_cmd_entail, "decide a ground instance query",
+               ("--max-ovr", "--extended-queries", "--format", "--query")),
+    "models": (_cmd_models, "report every justified model",
+               ("--max-ovr", "--format")),
+    "translate": (_cmd_translate, "emit the compiled program as ASP text",
+                  ()),
+    "normalize": (_cmd_normalize,
+                  "emit the normal-form KB in the surface syntax",
+                  ("--format",)),
+    "oracle-check": (_cmd_oracle_check,
+                     "cross-validate the pipeline against the oracle",
+                     ("--max-ovr", "--depth-cap", "--format")),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    top = argparse.ArgumentParser(
+        prog="dkblite",
+        description="Defeasible DL-Lite reasoning over answer sets.")
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, (_, help_, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("input", help="DKB file in the surface syntax")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+    return top
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -239,7 +236,7 @@ def main(argv: list[str] | None = None) -> int:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:
         kb = _load(args.input)
-        return _COMMANDS[args.command](kb, args)
+        return _COMMANDS[args.command][0](kb, args)
     except _CliError as e:
         print(str(e), file=sys.stderr)
         return e.code

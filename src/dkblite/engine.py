@@ -48,6 +48,10 @@ class ResourceLimitError(RuntimeError):
     """The assumption universe exceeds the configured enumeration cap."""
 
 
+# Default cap on the assumption universe of one model search.
+MAX_OVR = 20
+
+
 @dataclass(frozen=True)
 class GroundProgram:
     """Variable-free program: rules (facts as empty-body rules), the
@@ -239,7 +243,7 @@ def _assumption_universe(gp: GroundProgram) -> tuple[Literal, ...]:
 
 
 def iter_answer_sets(gp: GroundProgram,
-                     max_ovr: int = 20) -> Iterator[AnswerSet]:
+                     max_ovr: int = MAX_OVR) -> Iterator[AnswerSet]:
     """Answer sets by guess-and-check over the assumption universe, from
     the largest guess to the smallest.
 
@@ -282,7 +286,8 @@ def iter_answer_sets(gp: GroundProgram,
                 f" (cap {max_ovr})")
 
 
-def answer_sets(gp: GroundProgram, max_ovr: int = 20) -> list[AnswerSet]:
+def answer_sets(gp: GroundProgram,
+                max_ovr: int = MAX_OVR) -> list[AnswerSet]:
     """All answer sets of gp, sorted; see iter_answer_sets."""
     return sorted(iter_answer_sets(gp, max_ovr), key=AnswerSet.sort_key)
 

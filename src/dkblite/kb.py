@@ -26,12 +26,6 @@ DIS = "dis"                                    # Dis(R,S)
 INV = "inv"                                    # Inv(R,S)
 IRR = "irr"                                    # Irr(R)
 
-ALL_SHAPES = (
-    CONCEPT_ASSERTION, ROLE_ASSERTION, NEG_CONCEPT_ASSERTION,
-    NEG_ROLE_ASSERTION, SUBCLASS, SUPNOT, SUBEX, SUPEX, SUBROLE,
-    DIS, INV, IRR,
-)
-
 _ARITY = {
     CONCEPT_ASSERTION: 2,        # (concept, individual)
     ROLE_ASSERTION: 3,           # (role, individual, individual)
@@ -269,19 +263,8 @@ class DKB:
 
     def dedup(self) -> "DKB":
         """Drop duplicate axioms, keeping first occurrences and order."""
-        seen: set[Axiom] = set()
-        strict = []
-        for ax in self.strict:
-            if ax not in seen:
-                seen.add(ax)
-                strict.append(ax)
-        seen_d: set[Axiom] = set()
-        defeasible = []
-        for ax in self.defeasible:
-            if ax not in seen_d:
-                seen_d.add(ax)
-                defeasible.append(ax)
-        return DKB(self.vocabulary, tuple(strict), tuple(defeasible))
+        return DKB(self.vocabulary, tuple(dict.fromkeys(self.strict)),
+                   tuple(dict.fromkeys(self.defeasible)))
 
 
 @dataclass(frozen=True, order=True)

@@ -12,13 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import kb as K
-from .engine import AnswerSet, answer_sets, ground, iter_answer_sets
+from .engine import MAX_OVR, AnswerSet, answer_sets, ground, iter_answer_sets
+from .program import Literal
 from .translate import decode_ovr, output_atom, translate
 
 __all__ = [
     "EntailmentResult",
     "JustifiedModelReport",
     "satisfiable",
+    "entailment",
     "entails",
     "decode_model",
     "justified_models",
@@ -48,16 +50,24 @@ class JustifiedModelReport:
     derived_negative: frozenset[K.Axiom]
 
 
-def satisfiable(kb: K.DKB, max_ovr: int = 20,
-                ovr_on_aux: bool = False) -> bool:
+def satisfiable(kb: K.DKB, max_ovr: int = MAX_OVR) -> bool:
     """True iff the KB has a justified model; the search stops at the
     first one it finds."""
-    gp = ground(translate(kb, ovr_on_aux))
+    gp = ground(translate(kb))
     return next(iter_answer_sets(gp, max_ovr=max_ovr), None) is not None
 
 
-def entails(kb: K.DKB, query: K.Axiom, max_ovr: int = 20,
-            ovr_on_aux: bool = False) -> EntailmentResult:
+def entailment(models: list[AnswerSet], atom: Literal) -> EntailmentResult:
+    """Whether the atom holds in every one of the answer sets; vacuously
+    true, and marked unsat, when there are none."""
+    if not models:
+        return EntailmentResult(entailed=True, unsat=True)
+    return EntailmentResult(
+        entailed=all(atom in m.literals for m in models), unsat=False)
+
+
+def entails(kb: K.DKB, query: K.Axiom,
+            max_ovr: int = MAX_OVR) -> EntailmentResult:
     """True iff the query's output atom holds in every answer set.
 
     The query must be a ground assertion over declared names; aux
@@ -65,13 +75,9 @@ def entails(kb: K.DKB, query: K.Axiom, max_ovr: int = 20,
     shapes test strong-negative membership (an extension: the output
     mapping defines them, but callers should surface them only behind
     an explicit opt-in)."""
-    p = translate(kb, ovr_on_aux)
+    p = translate(kb)
     atom = output_atom(p, query)
-    models = answer_sets(ground(p), max_ovr=max_ovr)
-    if not models:
-        return EntailmentResult(entailed=True, unsat=True)
-    return EntailmentResult(
-        entailed=all(atom in m.literals for m in models), unsat=False)
+    return entailment(answer_sets(ground(p), max_ovr=max_ovr), atom)
 
 
 def _ca_key(ca: K.ClashingAssumption) -> tuple:
@@ -101,17 +107,16 @@ def decode_model(kb: K.DKB, m: AnswerSet) -> JustifiedModelReport:
     return JustifiedModelReport(tuple(chi), frozenset(pos), frozenset(neg))
 
 
-def justified_models(kb: K.DKB, max_ovr: int = 20,
-                     ovr_on_aux: bool = False) -> list[JustifiedModelReport]:
+def justified_models(kb: K.DKB,
+                     max_ovr: int = MAX_OVR) -> list[JustifiedModelReport]:
     """One report per answer set; empty list iff the KB is unsatisfiable."""
-    models = answer_sets(ground(translate(kb, ovr_on_aux)), max_ovr=max_ovr)
+    models = answer_sets(ground(translate(kb)), max_ovr=max_ovr)
     return [decode_model(kb, m) for m in models]
 
 
-def json_report(kb: K.DKB, max_ovr: int = 20,
-                ovr_on_aux: bool = False) -> dict:
+def json_report(kb: K.DKB, max_ovr: int = MAX_OVR) -> dict:
     """The report as plain data, ready for JSON serialization."""
-    reports = justified_models(kb, max_ovr=max_ovr, ovr_on_aux=ovr_on_aux)
+    reports = justified_models(kb, max_ovr=max_ovr)
     return {
         "satisfiable": bool(reports),
         "unsat_flag": not reports,

@@ -39,10 +39,6 @@ __all__ = [
     "parse_2cnf",
 ]
 
-_ASSERTIONS = frozenset((K.CONCEPT_ASSERTION, K.ROLE_ASSERTION,
-                         K.NEG_CONCEPT_ASSERTION, K.NEG_ROLE_ASSERTION))
-
-
 @dataclass(frozen=True)
 class FlatKB:
     """A classical KB split into terminology and data; the data may
@@ -53,10 +49,10 @@ class FlatKB:
 
     def __post_init__(self) -> None:
         for ax in self.tbox:
-            if ax.shape in _ASSERTIONS:
+            if ax.is_assertion:
                 raise ValueError(f"assertion in tbox: {ax.text()}")
         for ax in self.abox:
-            if ax.shape not in _ASSERTIONS:
+            if not ax.is_assertion:
                 raise ValueError(f"non-assertion in abox: {ax.text()}")
 
 
@@ -237,8 +233,8 @@ def parse_flatkb(text: str) -> tuple[FlatKB, K.Axiom]:
     kb = normalize(parser.parse_dkb(text))
     if kb.defeasible:
         raise ValueError("flat corpus files take no defeasible axioms")
-    tbox = tuple(ax for ax in kb.strict if ax.shape not in _ASSERTIONS)
-    abox = tuple(ax for ax in kb.strict if ax.shape in _ASSERTIONS)
+    tbox = tuple(ax for ax in kb.strict if not ax.is_assertion)
+    abox = tuple(ax for ax in kb.strict if ax.is_assertion)
     return FlatKB(tbox, abox), query
 
 

@@ -15,12 +15,12 @@ numbering follows axiom order, strict before defeasible.
 Default negation appears exclusively on the ovr predicate, and only in
 application rules.  Overriding rules carry a nom(x) guard on their
 exception-subject variables so that exceptions range over named
-individuals only; translate(ovr_on_aux=True) widens the guard to every
-constant for experimentation.
+individuals only.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import re
 from dataclasses import replace
@@ -47,37 +47,20 @@ OVR_TAG = {
 }
 _TAG_SHAPE = {v: k for k, v in OVR_TAG.items()}
 
-_SCHEMA_CACHE: dict[bool, tuple[Rule, ...]] = {}
 
+@functools.cache
+def schema_rules() -> tuple[Rule, ...]:
+    """The fixed rule schema: deduction rules (dl_*), overriding rules
+    (ovr_*) and application rules (app_*), named by each line's trailing
+    comment in rules/pk_schema.lp.
 
-def _load_schema() -> tuple[Rule, ...]:
-    """The rules of rules/pk_schema.lp, named by each line's trailing
-    comment."""
+    Read from the packaged file on first use and shared afterwards; rules
+    are immutable."""
     text = (importlib.resources.files(__package__) / "rules"
             / "pk_schema.lp").read_text(encoding="utf-8")
     names = re.findall(r"%\s*(\w+)$", text, re.MULTILINE)
     rules = parse_asp_text(text).rules
     return tuple(replace(r, name=n) for r, n in zip(rules, names, strict=True))
-
-
-def _guard_on_const(r: Rule) -> Rule:
-    return replace(r, body=tuple(Literal(l.neg, "const", l.args)
-                                 if l.pred == "nom" else l for l in r.body))
-
-
-def schema_rules(ovr_on_aux: bool = False) -> tuple[Rule, ...]:
-    """The fixed rule schema: deduction rules (dl_*), overriding rules
-    (ovr_*) and application rules (app_*).  With ovr_on_aux, the nom(x)
-    guards on exception subjects become const(x).
-
-    Read from the packaged file on first use and shared afterwards; rules
-    are immutable."""
-    cached = _SCHEMA_CACHE.get(ovr_on_aux)
-    if cached is None:
-        cached = (tuple(_guard_on_const(r) for r in schema_rules())
-                  if ovr_on_aux else _load_schema())
-        _SCHEMA_CACHE[ovr_on_aux] = cached
-    return cached
 
 
 def aux_prefix(kb: K.DKB) -> str:
@@ -135,7 +118,7 @@ def supporting_facts(constants: tuple[str, ...]) -> tuple[Literal, ...]:
     return tuple(facts)
 
 
-def translate(kb: K.DKB, ovr_on_aux: bool = False) -> Program:
+def translate(kb: K.DKB) -> Program:
     """Compile the knowledge base: schema rules, one input fact per axiom,
     signature facts, and the supporting constant chain."""
     kb = kb.dedup()
@@ -153,7 +136,7 @@ def translate(kb: K.DKB, ovr_on_aux: bool = False) -> Program:
                 next(next_aux) if ax.shape == K.SUPEX else None))
     facts += supporting_facts(constants)
     facts = sorted(dict.fromkeys(facts), key=lambda l: (l.pred, l.neg, l.args))
-    return Program(schema_rules(ovr_on_aux), tuple(facts), constants)
+    return Program(schema_rules(), tuple(facts), constants)
 
 
 class UnknownNameError(ValueError):

@@ -28,7 +28,12 @@ from dkblite import kb as K
 from dkblite.cli import EXIT_OK, main
 from dkblite.engine import answer_sets, ground
 from dkblite.oracle import oracle_answer, oracle_models
-from dkblite.reasoner import entails, justified_models, satisfiable
+from dkblite.reasoner import (
+    entailment,
+    entails,
+    justified_models,
+    satisfiable,
+)
 from dkblite.reductions import (
     FlatKB,
     Positive2CNF,
@@ -137,7 +142,7 @@ def _flat_pipeline_answers(k: FlatKB, emulate: bool,
             # on a satisfiable KB the query is simply not entailed.
             out.append(not models)
             continue
-        out.append(not models or all(atom in m.literals for m in models))
+        out.append(entailment(models, atom).entailed)
     return out, bool(models)
 
 

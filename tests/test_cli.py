@@ -160,6 +160,44 @@ def test_usage_errors_from_argparse(capsys):
     capsys.readouterr()
 
 
+FLAG_ARGS = {
+    "--max-ovr": ("--max-ovr", "20"),
+    "--depth-cap": ("--depth-cap", "3"),
+    "--format": ("--format", "json"),
+    "--query": ("--query", "DeptMember(bob)"),
+    "--extended-queries": ("--extended-queries",),
+    "--ovr-on-aux": ("--ovr-on-aux",),
+}
+FLAGS_READ = {
+    "check-sat": ("--max-ovr", "--format"),
+    "entail": ("--max-ovr", "--format", "--query", "--extended-queries"),
+    "models": ("--max-ovr", "--format"),
+    "translate": (),
+    "normalize": ("--format",),
+    "oracle-check": ("--depth-cap", "--max-ovr", "--format"),
+}
+FLAG_SCOPE_CASES = (
+    [(cmd, flags, True) for cmd, flags in FLAGS_READ.items()]
+    + [(cmd, (flag,), False) for cmd, read in FLAGS_READ.items()
+       for flag in FLAG_ARGS if flag not in read])
+
+
+@pytest.mark.parametrize(
+    "command,flags,accepted", FLAG_SCOPE_CASES,
+    ids=[f"{c}-{'+'.join(f) or 'bare'}-{'read' if a else 'unread'}"
+         for c, f, a in FLAG_SCOPE_CASES])
+def test_each_command_takes_only_the_flags_it_reads(
+        capsys, dept_path, command, flags, accepted):
+    argv = [command, dept_path, *(a for f in flags for a in FLAG_ARGS[f])]
+    code, out, err = run(capsys, *argv)
+    if accepted:
+        assert (code, err) == (EXIT_OK, "")
+        assert out
+    else:
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "unrecognized arguments" in err
+
+
 # --- models ---
 
 

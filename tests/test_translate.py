@@ -21,9 +21,8 @@ from dkblite.translate import (
 )
 
 
-def rules_named(prefix: str, ovr_on_aux: bool = False):
-    return tuple(r for r in schema_rules(ovr_on_aux)
-                 if r.name.startswith(prefix))
+def rules_named(prefix: str):
+    return tuple(r for r in schema_rules() if r.name.startswith(prefix))
 
 
 def test_schema_matches_golden_file():
@@ -171,11 +170,3 @@ def test_translate_deterministic(k_dept):
         export_asp_text(translate(k_dept))
     assert export_asp_text(translate(DKB.from_axioms())) == \
         export_asp_text(translate(DKB.from_axioms()))
-
-
-def test_ovr_on_aux_swaps_subject_guards():
-    plain = rules_named("ovr_")
-    on_aux = rules_named("ovr_", ovr_on_aux=True)
-    assert len(plain) == len(on_aux)
-    assert any(l.pred == "nom" for r in plain for l in r.body)
-    assert not any(l.pred == "nom" for r in on_aux for l in r.body)
