@@ -1,12 +1,16 @@
 """Grounding and answer-set enumeration for compiled programs.
 
-Grounding instantiates each schema rule by joining its extensional body
-literals (predicates defined by facts only) against the fact table and
-ranging any leftover variables over the constant pool.  Default-negated
-literals whose atom no rule can ever derive are dropped from rule bodies:
-they are vacuously true, and removing them makes the recorded
-ovr_universe exactly the set of atoms that can both be assumed and
-derived.
+Grounding is relevance-driven (semi-naive): a rule instance is produced
+only when every atom of its positive body can hold, that is, lies in the
+least model of the program with default negation dropped.  Starting from
+the facts, each newly possible atom triggers the rules with a matching
+body literal, and their other literals are joined against the atoms
+found so far; no instance ranges a variable over the constant pool.
+Default-negated literals whose atom no instance derives are dropped from
+rule bodies: they are vacuously true.  The ovr universe, which the
+max_ovr cap counts, is fixed by the facts alone: every ovr head over the
+join of its rule's extensional body literals (predicates defined by
+facts only), whether or not the rest of the body can hold.
 
 Answer sets are found by the reduct definition directly: guess which
 default-negated atoms are assumed true, compute the least model of the
@@ -23,7 +27,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 from .program import Literal, Program, Rule, is_var
 
@@ -55,7 +59,8 @@ MAX_OVR = 20
 @dataclass(frozen=True)
 class GroundProgram:
     """Variable-free program: rules (facts as empty-body rules), the
-    interned atom table, and the ground ovr atoms in heads or NAF bodies."""
+    interned atom table, and the ovr universe: the exception candidates
+    ground() finds plus every ovr atom in a head or NAF body."""
 
     rules: tuple[Rule, ...]
     atoms: tuple[Literal, ...]
@@ -77,12 +82,15 @@ class AnswerSet:
         return (tuple(sorted(self.ovr_atoms)), tuple(sorted(self.literals)))
 
 
-def make_ground_program(rules: Iterable[Rule]) -> GroundProgram:
+def make_ground_program(rules: Iterable[Rule],
+                        ovr_candidates: Iterable[Literal] = ()
+                        ) -> GroundProgram:
     """Assemble a GroundProgram from ground rules, computing the atom
-    table and ovr universe.  Used by ground() and by test fixtures."""
+    table and ovr universe; ovr_candidates join both even where no rule
+    mentions them.  Used by ground() and by test fixtures."""
     rules = tuple(rules)
-    atoms: set[Literal] = set()
-    ovr: set[Literal] = set()
+    ovr: set[Literal] = set(ovr_candidates)
+    atoms: set[Literal] = set(ovr)
     for r in rules:
         atoms.add(r.head)
         atoms.update(r.body)
@@ -93,67 +101,312 @@ def make_ground_program(rules: Iterable[Rule]) -> GroundProgram:
     return GroundProgram(rules, tuple(sorted(atoms)), tuple(sorted(ovr)))
 
 
-def _substitute(l: Literal, sub: dict[str, str]) -> Literal:
-    return Literal(l.neg, l.pred, tuple(sub.get(t, t) for t in l.args))
+# (pred, neg): the key that sorts predicates into extensional (facts
+# only) and intensional (some rule head); arity is added where atoms are
+# matched, since one predicate may be used at several arities.
+PredKey = tuple[str, bool]
+AtomKey = tuple[str, bool, int]
+
+
+# The plan records are NamedTuples, not dataclasses: a dataclass costs
+# about a millisecond to define, which every import of the package pays.
+class _Step(NamedTuple):
+    """Match one positive body literal: take the atoms of index `index`
+    whose bound positions hold the values in slots `sources`, bind the
+    literal's new variables at their first position and check every
+    other position.  A trigger step matches the arriving atom itself and
+    has no index (-1), so its constants and repeats are all checks."""
+
+    body_pos: int
+    index: int
+    sources: tuple[int, ...]
+    binds: tuple[tuple[int, int], ...]   # (argument position, slot)
+    checks: tuple[tuple[int, int], ...]  # (argument position, slot)
+
+
+Template = tuple[bool, str, tuple[int, ...]]  # neg, pred, argument slots
+
+
+class _RulePlan(NamedTuple):
+    """A rule compiled to slots: each distinct term has one, and the
+    constants' slots are prefilled in `init`."""
+
+    rule: Rule
+    init: tuple[str | None, ...]
+    head: Template
+    naf: tuple[Template, ...]
+    edb_keys: frozenset[PredKey]
+
+
+class _Plans(NamedTuple):
+    """Join plans for one rule tuple; only the indexes are per call."""
+
+    rules: tuple[_RulePlan, ...]
+    head_keys: frozenset[PredKey]
+    index_count: int
+    # atom key -> (index id, bound positions) of each index on that key
+    key_indexes: dict[AtomKey, tuple[tuple[int, tuple[int, ...]], ...]]
+    # atom key -> (rule id, trigger step, steps for the other literals)
+    triggers: dict[AtomKey, tuple[tuple[int, _Step, tuple[_Step, ...]], ...]]
+    # rules with no intensional body literal: (rule id, steps)
+    upfront: tuple[tuple[int, tuple[_Step, ...]], ...]
+    # ovr-headed rules: (rule id, steps over the extensional literals,
+    # head slots those leave unbound, whether any variable is left)
+    ovr: tuple[tuple[int, tuple[_Step, ...], tuple[int, ...], bool], ...]
+
+
+def _atom_key(l: Literal) -> AtomKey:
+    return (l.pred, l.neg, len(l.args))
+
+
+def _compile_step(l: Literal, body_pos: int, bound: set[str],
+                  slot: dict[str, int],
+                  index_ids: dict | None) -> _Step:
+    """Plan the match of l given the variables in bound, and add its
+    variables to bound.  index_ids is None for a trigger step."""
+    positions = () if index_ids is None else tuple(
+        k for k, t in enumerate(l.args) if not is_var(t) or t in bound)
+    binds, checks = [], []
+    for k, t in enumerate(l.args):
+        if k in positions:
+            continue
+        if is_var(t) and t not in bound:
+            bound.add(t)
+            binds.append((k, slot[t]))
+        else:
+            checks.append((k, slot[t]))
+    index = -1 if index_ids is None else index_ids.setdefault(
+        (_atom_key(l), positions), len(index_ids))
+    return _Step(body_pos, index, tuple(slot[l.args[k]] for k in positions),
+                 tuple(binds), tuple(checks))
+
+
+def _join_order(body: tuple[Literal, ...], todo: Iterable[int],
+                bound: set[str], head_keys: frozenset[PredKey],
+                slot: dict[str, int], index_ids: dict) -> tuple[_Step, ...]:
+    """Steps for the body literals in todo, most-bound first: fewest new
+    variables, then extensional before intensional, then body order.
+    Adds their variables to bound."""
+    todo = list(todo)
+    steps = []
+    while todo:
+        j = min(todo, key=lambda j: (
+            len({t for t in body[j].args if is_var(t)} - bound),
+            (body[j].pred, body[j].neg) in head_keys, j))
+        todo.remove(j)
+        steps.append(_compile_step(body[j], j, bound, slot, index_ids))
+    return tuple(steps)
+
+
+def _compile(rules: tuple[Rule, ...]) -> _Plans:
+    head_keys = frozenset((r.head.pred, r.head.neg) for r in rules)
+    index_ids: dict[tuple[AtomKey, tuple[int, ...]], int] = {}
+    plans, upfront, ovr = [], [], []
+    triggers: dict[AtomKey, list] = {}
+    for rid, r in enumerate(rules):
+        slot: dict[str, int] = {}
+        for l in (r.head, *r.body, *r.naf):
+            for t in l.args:
+                slot.setdefault(t, len(slot))
+        keys = [(l.pred, l.neg) for l in r.body]
+        plans.append(_RulePlan(
+            r, tuple(None if is_var(t) else t for t in slot),
+            (r.head.neg, r.head.pred, tuple(slot[t] for t in r.head.args)),
+            tuple((l.neg, l.pred, tuple(slot[t] for t in l.args))
+                  for l in r.naf),
+            frozenset(k for k in keys if k not in head_keys)))
+        idb = [j for j, k in enumerate(keys) if k in head_keys]
+        if not idb:
+            upfront.append((rid, _join_order(
+                r.body, range(len(r.body)), set(), head_keys, slot,
+                index_ids)))
+        for i in idb:
+            bound: set[str] = set()
+            trigger = _compile_step(r.body[i], i, bound, slot, None)
+            rest = _join_order(r.body, (j for j in range(len(r.body))
+                                        if j != i),
+                               bound, head_keys, slot, index_ids)
+            triggers.setdefault(_atom_key(r.body[i]), []).append(
+                (rid, trigger, rest))
+        if r.head.pred == "ovr":
+            bound = set()
+            edb = _join_order(r.body, (j for j, k in enumerate(keys)
+                                       if k not in head_keys),
+                              bound, head_keys, slot, index_ids)
+            free = {t for t in slot if is_var(t)} - bound
+            ovr.append((rid, edb, tuple(slot[t] for t in dict.fromkeys(
+                r.head.args) if t in free), bool(free)))
+    key_indexes: dict[AtomKey, list] = {}
+    for (key, positions), idx in index_ids.items():
+        key_indexes.setdefault(key, []).append((idx, positions))
+    return _Plans(tuple(plans), head_keys, len(index_ids),
+                  {k: tuple(v) for k, v in key_indexes.items()},
+                  {k: tuple(v) for k, v in triggers.items()},
+                  tuple(upfront), tuple(ovr))
+
+
+# Plans by rule tuple, for the few tuples in use (translated programs all
+# share schema_rules()).  Each entry keeps its tuple alive, so an id is
+# never reused while it is a key.
+_PLAN_CACHE: dict[int, tuple[tuple[Rule, ...], _Plans]] = {}
+
+
+def _plans(rules: tuple[Rule, ...]) -> _Plans:
+    hit = _PLAN_CACHE.get(id(rules))
+    if hit is None:
+        if len(_PLAN_CACHE) >= 8:
+            del _PLAN_CACHE[next(iter(_PLAN_CACHE))]
+        hit = _PLAN_CACHE[id(rules)] = (rules, _compile(rules))
+    return hit[1]
+
+
+def _bind(step: _Step, args: tuple[str, ...], vals: list) -> bool:
+    for k, s in step.binds:
+        vals[s] = args[k]
+    for k, s in step.checks:
+        if args[k] != vals[s]:
+            return False
+    return True
+
+
+def _lookup(step: _Step, vals: list, indexes: list[dict]) -> list[Literal]:
+    return indexes[step.index].get(tuple([vals[s] for s in step.sources]),
+                                   ())
+
+
+def _solutions(steps: tuple[_Step, ...], vals: list, chosen: list,
+               indexes: list[dict]) -> Iterator[None]:
+    """Yield once per match of every step, with the bindings in vals and
+    each matched atom in chosen at its body position.  Depth-first over
+    an explicit stack of candidate iterators."""
+    if not steps:
+        yield
+        return
+    last = len(steps) - 1
+    stack = [iter(_lookup(steps[0], vals, indexes))]
+    while stack:
+        d = len(stack) - 1
+        step = steps[d]
+        for atom in stack[d]:
+            if _bind(step, atom.args, vals):
+                break
+        else:
+            stack.pop()
+            continue
+        chosen[step.body_pos] = atom
+        if d == last:
+            yield
+        else:
+            stack.append(iter(_lookup(steps[d + 1], vals, indexes)))
+
+
+def _instances(plan: _RulePlan, steps: tuple[_Step, ...], vals: list,
+               chosen: list, indexes: list[dict]) -> Iterator[Rule]:
+    hneg, hpred, hslots = plan.head
+    for _ in _solutions(steps, vals, chosen, indexes):
+        yield Rule(
+            Literal(hneg, hpred, tuple([vals[s] for s in hslots])),
+            tuple(chosen),
+            tuple(Literal(n, q, tuple([vals[s] for s in slots]))
+                  for n, q, slots in plan.naf),
+            name=plan.rule.name)
+
+
+def _index(atom: Literal, plans: _Plans, indexes: list[dict]) -> None:
+    for idx, positions in plans.key_indexes.get(_atom_key(atom), ()):
+        indexes[idx].setdefault(tuple([atom.args[k] for k in positions]),
+                                []).append(atom)
+
+
+def _emit(instances: Iterable[Rule], out: list[Rule], seen: set[Literal],
+          queue: deque[Literal]) -> None:
+    for r in instances:
+        out.append(r)
+        if r.head not in seen:
+            seen.add(r.head)
+            queue.append(r.head)
 
 
 def ground(p: Program) -> GroundProgram:
-    """Instantiate every rule of p over its facts and constants.
+    """Instantiate the rules of p that can fire, over its facts.
 
-    Body literals of extensional predicates (facts only, never a rule
-    head) bind their variables by joining against the fact table, so one
-    subClass fact yields one instance per subject constant rather than
-    one per concept pair.  Remaining variables range over p.constants.
+    A rule instance is produced only when every positive body atom is
+    possibly true: a fact, or the head of an instance already produced.
+    Atoms are processed in arrival order; each one triggers the rules
+    with a matching positive body literal, whose other literals are
+    joined against the atoms processed so far through hash indexes on
+    their bound positions.  The possibly-true atoms are then exactly the
+    least model of p with default negation dropped, which contains the
+    least model of every reduct, so no answer set changes.  Rules are
+    the facts, then the instances in the order they were found; a rule
+    with an extensional body predicate (never a rule head) that has no
+    facts is skipped outright.
+
+    ovr_universe is the heads of the ovr-headed rules over the join of
+    their extensional body literals alone, any other head variable
+    ranging over p.constants: the exception candidates, whether or not
+    their other body literals can hold.  They are in the atom table too.
     """
-    head_keys = {(r.head.pred, r.head.neg) for r in p.rules}
-    by_key: dict[tuple[str, bool], list[tuple[str, ...]]] = {}
-    for f in p.facts:
-        by_key.setdefault((f.pred, f.neg), []).append(f.args)
+    plans = _plans(p.rules)
+    facts = dict.fromkeys(p.facts)
+    fact_keys = {(f.pred, f.neg) for f in facts}
+    live = [rp.edb_keys <= fact_keys for rp in plans.rules]
+    indexes: list[dict] = [{} for _ in range(plans.index_count)]
 
-    ground_rules: list[Rule] = [Rule(f, (), (), name="fact") for f in p.facts]
-    for r in p.rules:
-        keys = [(l.pred, l.neg) for l in r.body]
-        if any(k not in head_keys and k not in by_key for k in keys):
-            continue  # some body literal can never hold
-        edb = [l for l in r.body if (l.pred, l.neg) not in head_keys]
-        subs: list[dict[str, str]] = [{}]
-        for l in edb:
-            nxt: list[dict[str, str]] = []
-            for sub in subs:
-                for args in by_key[(l.pred, l.neg)]:
-                    ext = dict(sub)
-                    ok = True
-                    for t, a in zip(l.args, args):
-                        if is_var(t):
-                            if ext.setdefault(t, a) != a:
-                                ok = False
-                                break
-                        elif t != a:
-                            ok = False
-                            break
-                    if ok:
-                        nxt.append(ext)
-            subs = nxt
-        for sub in subs:
-            free_here = sorted({t for l in (r.head, *r.body, *r.naf)
-                                for t in l.args if is_var(t)} - sub.keys())
-            for combo in itertools.product(p.constants, repeat=len(free_here)):
-                full = dict(sub)
-                full.update(zip(free_here, combo))
-                ground_rules.append(Rule(
-                    _substitute(r.head, full),
-                    tuple(_substitute(l, full) for l in r.body),
-                    tuple(_substitute(l, full) for l in r.naf), name=r.name))
+    seen = set(facts)
+    queue: deque[Literal] = deque()
+    for f in facts:
+        if (f.pred, f.neg) in plans.head_keys:
+            queue.append(f)
+        else:
+            _index(f, plans, indexes)
+    out = [Rule(f, (), (), name="fact") for f in facts]
+    for rid, steps in plans.upfront:
+        if live[rid]:
+            rp = plans.rules[rid]
+            _emit(_instances(rp, steps, list(rp.init),
+                             [None] * len(rp.rule.body), indexes),
+                  out, seen, queue)
+    while queue:
+        atom = queue.popleft()
+        _index(atom, plans, indexes)
+        for rid, trigger, steps in plans.triggers.get(_atom_key(atom), ()):
+            if not live[rid]:
+                continue
+            rp = plans.rules[rid]
+            vals = list(rp.init)
+            if _bind(trigger, atom.args, vals):
+                chosen = [None] * len(rp.rule.body)
+                chosen[trigger.body_pos] = atom
+                _emit(_instances(rp, steps, vals, chosen, indexes),
+                      out, seen, queue)
 
-    ground_rules = list(dict.fromkeys(ground_rules))
-    derivable = {gr.head for gr in ground_rules}
+    # Two schema rules can yield one instance (dl_dis1/dl_dis2 on a
+    # dis(r,r) fact), and an atom matching two body literals triggers
+    # its instance twice; keep the first.
     trimmed = []
-    for gr in ground_rules:
-        if gr.naf and any(l not in derivable for l in gr.naf):
+    for gr in dict.fromkeys(out):
+        if gr.naf and any(l not in seen for l in gr.naf):
             gr = Rule(gr.head, gr.body,
-                      tuple(l for l in gr.naf if l in derivable), name=gr.name)
+                      tuple(l for l in gr.naf if l in seen), name=gr.name)
         trimmed.append(gr)
-    return make_ground_program(trimmed)
+
+    candidates = []
+    for rid, steps, free_head, any_free in plans.ovr:
+        if not live[rid] or (any_free and not p.constants):
+            continue
+        rp = plans.rules[rid]
+        hneg, hpred, hslots = rp.head
+        vals = list(rp.init)
+        for _ in _solutions(steps, vals, [None] * len(rp.rule.body),
+                            indexes):
+            for combo in itertools.product(p.constants,
+                                           repeat=len(free_head)):
+                for s, c in zip(free_head, combo):
+                    vals[s] = c
+                candidates.append(
+                    Literal(hneg, hpred, tuple([vals[s] for s in hslots])))
+    return make_ground_program(trimmed, candidates)
 
 
 def reduct(gp: GroundProgram, i: Iterable[Literal]) -> GroundProgram:

@@ -14,7 +14,10 @@ import random
 
 from dkblite import kb as K
 from dkblite.engine import INCONSISTENT
+from dkblite.normalize import normalize
 from dkblite.oracle import HerbrandModel, chase
+from dkblite.parser import parse_dkb
+from dkblite.reductions import FlatKB, from_inconsistent_kb
 
 CONCEPTS = ("A", "B", "C", "D")
 ROLES = ("R", "S")
@@ -250,6 +253,42 @@ def flat_aboxes() -> list[tuple[K.Axiom, ...]]:
 def flat_queries() -> tuple[K.Axiom, ...]:
     return tuple(K.concept_assertion(c, i)
                  for c in FLAT_CONCEPTS for i in FLAT_INDIVIDUALS)
+
+
+def flat_sample(stride: int = 17) -> list[K.DKB]:
+    """Every stride-th DKB of the coherent flat corpus x both
+    embeddings; stride 17 is prime to 2 and 57, so the sample covers
+    both embeddings and every ABox position."""
+    coherent, _ = flat_tboxes()
+    full = [(tb, ab, emulate) for tb in coherent for ab in flat_aboxes()
+            for emulate in (False, True)]
+    return [from_inconsistent_kb(FlatKB(tbox=tb, abox=ab), emulate)
+            for tb, ab, emulate in full[::stride]]
+
+
+# --- department KBs (the running example, widened) ---
+
+DEPT_TBOX = """\
+D(DeptMember [= exists hasCourse).
+Professor [= DeptMember.
+PhDStudent [= DeptMember.
+PhDStudent [= -exists hasCourse.
+"""
+
+
+def dept_text(n: int, s: int) -> str:
+    """dept(n, s): the department TBox over n individuals p000..,
+    every (n // s)-th of them (s in all) a PhDStudent, the rest
+    Professors.  Exactly one justified model: the hasCourse default is
+    overridden at each student."""
+    step = n // s
+    return DEPT_TBOX + "".join(
+        f"{'PhDStudent' if i % step == 0 and i // step < s else 'Professor'}"
+        f"(p{i:03d}).\n" for i in range(n))
+
+
+def dept_kb(n: int, s: int) -> K.DKB:
+    return normalize(parse_dkb(dept_text(n, s)))
 
 
 # --- wide KB (throughput check) ---

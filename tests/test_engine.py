@@ -1,14 +1,20 @@
 """Grounding and answer-set enumeration."""
 
+import contextlib
+import gc
+import io
 import itertools
 import random
 
 import pytest
 
+from corpus import corpus_kbs, dept_kb, dept_text, flat_sample, scale_kb
+from dkblite.cli import EXIT_OK, main
 from dkblite.engine import (
     INCONSISTENT,
     GroundProgram,
     ResourceLimitError,
+    _assumption_universe,
     answer_sets,
     ground,
     is_answer_set,
@@ -17,8 +23,16 @@ from dkblite.engine import (
     make_ground_program,
     reduct,
 )
-from dkblite.program import Literal, Program, Rule, lit, neg
-from dkblite.translate import translate
+from dkblite.program import (
+    Literal,
+    Program,
+    Rule,
+    is_var,
+    lit,
+    neg,
+    parse_asp_text,
+)
+from dkblite.translate import schema_rules, supporting_facts, translate
 
 SUBC_RULE = Rule(
     lit("instd", "?x", "?z2"),
@@ -36,22 +50,32 @@ def rules_named(gp: GroundProgram, name: str) -> list[Rule]:
 
 
 def test_ground_joins_edb_fact_once_per_constant():
+    # One instance per instd atom that can hold, not per constant.
     p = Program(
         rules=(SUBC_RULE,),
-        facts=(lit("subClass", "A", "B"),),
+        facts=(lit("subClass", "A", "B"), lit("instd", "a", "A"),
+               lit("instd", "c", "A")),
         constants=("a", "b", "c"),
     )
     gp = ground(p)
     instances = rules_named(gp, "dl_subc")
-    assert len(instances) == 3
+    assert len(instances) == 2
     assert {r.head for r in instances} == {
         lit("instd", "a", "B"),
-        lit("instd", "b", "B"),
         lit("instd", "c", "B"),
     }
     # the concept pair comes from the fact, never from the constant pool
     for r in instances:
         assert lit("subClass", "A", "B") in r.body
+
+
+def test_ground_skips_rules_whose_body_cannot_hold():
+    p = Program(
+        rules=(SUBC_RULE,),
+        facts=(lit("subClass", "A", "B"),),
+        constants=("a", "b", "c"),
+    )
+    assert rules_named(ground(p), "dl_subc") == []
 
 
 def test_ground_keeps_facts_as_empty_body_rules():
@@ -70,6 +94,88 @@ def test_ground_dept_ovr_universe_is_exactly_the_named_subjects(k_dept):
         lit("ovr", "supEx", "alice", "DeptMember", "hasCourse", "aux_0"),
         lit("ovr", "supEx", "bob", "DeptMember", "hasCourse", "aux_0"),
     }
+
+
+def schema_named(*names: str) -> tuple[Rule, ...]:
+    by_name = {r.name: r for r in schema_rules()}
+    return tuple(by_name[n] for n in names)
+
+
+def test_ground_recurses_along_the_constant_chain():
+    # all_nrel(x, r) needs -tripled(x, r, y) at every constant y, walked
+    # along first/next/last; z lacks the middle one.
+    consts = ("a", "b", "c")
+    facts = [lit("rol", "r"), *supporting_facts(consts)]
+    facts += [neg("triplea", "x", "r", y) for y in consts]
+    facts += [neg("triplea", "z", "r", y) for y in ("a", "c")]
+    p = Program(schema_named("dl_ntriple", "dl_chain1", "dl_chain2",
+                             "dl_chain3"), tuple(facts), consts)
+    heads = {r.head for r in ground(p).rules}
+    assert lit("all_nrel", "x", "r") in heads
+    assert lit("all_nrel", "z", "r") not in heads
+    assert lit("all_nrel_step", "z", "r", "a") in heads
+    assert lit("all_nrel_step", "z", "r", "b") not in heads
+    assert lit("all_nrel_step", "z", "r", "c") not in heads
+
+
+def test_ground_repeated_variable_matches_loops_only():
+    # ovr_irr's tripled(X,R,X) takes a's and b's loops, not the a->b or
+    # c->a edges; the ovr universe still has every (nom, def_irr) pair.
+    p = Program(
+        schema_named("dl_triple", "ovr_irr"),
+        (lit("def_irr", "r"), lit("nom", "a"), lit("nom", "b"),
+         lit("nom", "c"), lit("triplea", "a", "r", "a"),
+         lit("triplea", "a", "r", "b"), lit("triplea", "b", "r", "b"),
+         lit("triplea", "c", "r", "a")),
+        ("a", "b", "c"))
+    gp = ground(p)
+    instances = rules_named(gp, "ovr_irr")
+    assert [r.head for r in instances] == [
+        lit("ovr", "irr", "a", "r"), lit("ovr", "irr", "b", "r")]
+    assert lit("tripled", "a", "r", "a") in instances[0].body
+    assert gp.ovr_universe == tuple(
+        lit("ovr", "irr", x, "r") for x in ("a", "b", "c"))
+
+
+def test_ground_matches_constants_in_body_patterns():
+    # t(X,k) is a trigger (t is derived), v(k,X) a join step on a fact.
+    p = parse_asp_text(
+        "t(X,Y) :- u(X,Y).\n"
+        "p(X) :- t(X,k), v(k,X).\n"
+        "u(a,k). u(b,j). u(c,k). v(k,a). v(k,b). v(j,b).\n")
+    gp = ground(p)
+    assert [r for r in gp.rules if r.head.pred == "p"] == [
+        Rule(lit("p", "a"), (lit("t", "a", "k"), lit("v", "k", "a")))]
+
+
+def test_ground_instantiates_naf_only_rules_once():
+    p = parse_asp_text("p :- not q.\nq :- not p.\n")
+    gp = ground(p)
+    assert gp.rules == (Rule(lit("p"), (), (lit("q"),)),
+                        Rule(lit("q"), (), (lit("p"),)))
+    assert [a.literals for a in answer_sets(gp)] == [
+        frozenset({lit("p")}), frozenset({lit("q")})]
+
+
+def test_ground_is_deterministic(k_dept):
+    p = translate(k_dept)
+    first = ground(p).rules
+    assert ground(p).rules == first
+    assert ground(translate(k_dept)).rules == first
+
+
+def test_ground_leaves_no_reference_cycles(k_dept):
+    # A cycle would keep each call's join tables alive until the cyclic
+    # collector runs, raising peak memory on repeated grounding.
+    p = translate(k_dept)
+    ground(p)
+    gc.collect()
+    gc.disable()
+    try:
+        ground(p)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_ground_rejects_unsubstituted_variables():
@@ -305,3 +411,107 @@ def test_answer_sets_output_is_sorted_and_deterministic():
         first = answer_sets(gp)
         assert first == answer_sets(gp)
         assert first == sorted(first, key=lambda a: a.sort_key())
+
+
+# --- ground against the reference grounder ---
+
+
+def _substitute(l: Literal, sub: dict[str, str]) -> Literal:
+    return Literal(l.neg, l.pred, tuple(sub.get(t, t) for t in l.args))
+
+
+def reference_ground(p: Program) -> GroundProgram:
+    """The grounder ground() replaced, kept as its reference: every rule
+    of p instantiated over its facts and constants.
+
+    Body literals of extensional predicates (facts only, never a rule
+    head) bind their variables by joining against the fact table, so one
+    subClass fact yields one instance per subject constant rather than
+    one per concept pair.  Remaining variables range over p.constants.
+    """
+    head_keys = {(r.head.pred, r.head.neg) for r in p.rules}
+    by_key: dict[tuple[str, bool], list[tuple[str, ...]]] = {}
+    for f in p.facts:
+        by_key.setdefault((f.pred, f.neg), []).append(f.args)
+
+    ground_rules: list[Rule] = [Rule(f, (), (), name="fact") for f in p.facts]
+    for r in p.rules:
+        keys = [(l.pred, l.neg) for l in r.body]
+        if any(k not in head_keys and k not in by_key for k in keys):
+            continue  # some body literal can never hold
+        edb = [l for l in r.body if (l.pred, l.neg) not in head_keys]
+        subs: list[dict[str, str]] = [{}]
+        for l in edb:
+            nxt: list[dict[str, str]] = []
+            for sub in subs:
+                for args in by_key[(l.pred, l.neg)]:
+                    ext = dict(sub)
+                    ok = True
+                    for t, a in zip(l.args, args):
+                        if is_var(t):
+                            if ext.setdefault(t, a) != a:
+                                ok = False
+                                break
+                        elif t != a:
+                            ok = False
+                            break
+                    if ok:
+                        nxt.append(ext)
+            subs = nxt
+        for sub in subs:
+            free_here = sorted({t for l in (r.head, *r.body, *r.naf)
+                                for t in l.args if is_var(t)} - sub.keys())
+            for combo in itertools.product(p.constants, repeat=len(free_here)):
+                full = dict(sub)
+                full.update(zip(free_here, combo))
+                ground_rules.append(Rule(
+                    _substitute(r.head, full),
+                    tuple(_substitute(l, full) for l in r.body),
+                    tuple(_substitute(l, full) for l in r.naf), name=r.name))
+
+    ground_rules = list(dict.fromkeys(ground_rules))
+    derivable = {gr.head for gr in ground_rules}
+    trimmed = []
+    for gr in ground_rules:
+        if gr.naf and any(l not in derivable for l in gr.naf):
+            gr = Rule(gr.head, gr.body,
+                      tuple(l for l in gr.naf if l in derivable), name=gr.name)
+        trimmed.append(gr)
+    return make_ground_program(trimmed)
+
+
+def _search(gp: GroundProgram) -> tuple[list, type | None]:
+    """The answer sets in search order, as satisfiable() and answer_sets()
+    see them, and the ResourceLimitError that may end the search."""
+    found = []
+    try:
+        for a in iter_answer_sets(gp):
+            found.append(a)
+    except ResourceLimitError:
+        return found, ResourceLimitError
+    return found, None
+
+
+def test_ground_agrees_with_reference_grounder():
+    kbs = [dept_kb(2 * s, s) for s in range(1, 12)]
+    kbs += [dept_kb(n, 2) for n in (30, 60)]
+    kbs += corpus_kbs(240, 1806) + flat_sample() + [scale_kb()]
+    for kb in kbs:
+        p = translate(kb)
+        new, ref = ground(p), reference_ground(p)
+        assert new.ovr_universe == ref.ovr_universe
+        assert _assumption_universe(new) == _assumption_universe(ref)
+        assert _search(new) == _search(ref)
+        ref_rules = {(r.name, r.head, r.body) for r in ref.rules}
+        assert all((r.name, r.head, r.body) in ref_rules for r in new.rules)
+    assert len(kbs) == 11 + 2 + 240 + 510 + 1
+
+
+@pytest.mark.parametrize("n", [80, 320])
+def test_ground_size_is_linear_on_dept(n, tmp_path):
+    # The old grounder gave 20,905 rules at n=80 and 313,945 at n=320.
+    assert len(ground(translate(dept_kb(n, 2))).rules) < 15 * n
+    path = tmp_path / "dept.dkb"
+    path.write_text(dept_text(n, 2), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["check-sat", str(path)]) == EXIT_OK
