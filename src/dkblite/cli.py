@@ -46,6 +46,8 @@ def _load(path: str) -> K.DKB:
             text = fh.read()
     except OSError as e:
         raise _CliError(EXIT_USAGE, f"{path}: {e.strerror or e}")
+    except UnicodeDecodeError as e:
+        raise _CliError(EXIT_USAGE, f"{path}: {e}")
     try:
         return normalize(parse_dkb(text))
     except ParseError as e:
@@ -186,10 +188,21 @@ def _cmd_oracle_check(kb: K.DKB, args) -> int:
     return EXIT_OK if not disagreements else EXIT_NO
 
 
+def _cap(text: str) -> int:
+    """argparse type of the cap flags: an integer, 0 or more."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {n}")
+    return n
+
+
 _FLAGS = {
-    "--max-ovr": dict(type=int, default=MAX_OVR,
+    "--max-ovr": dict(type=_cap, default=MAX_OVR,
                       help=f"cap on exception candidates (default {MAX_OVR})"),
-    "--depth-cap": dict(type=int, default=3,
+    "--depth-cap": dict(type=_cap, default=3,
                         help="oracle chase depth cap (default 3)"),
     "--extended-queries": dict(action="store_true",
                                help="allow negated assertion queries"),

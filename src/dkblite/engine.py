@@ -12,6 +12,11 @@ max_ovr cap counts, is fixed by the facts alone: every ovr head over the
 join of its rule's extensional body literals (predicates defined by
 facts only), whether or not the rest of the body can hold.
 
+Rule safety (every head and default-negated variable occurs in the
+positive body) is checked once per rule, when its join plan is compiled.
+With facts made of KB names, which kb keeps apart from variables, every
+instance is then variable-free, so ground rules are not checked again.
+
 Answer sets are found by the reduct definition directly: guess which
 default-negated atoms are assumed true, compute the least model of the
 reduct, and keep the guess when the model reproduces it exactly.  The
@@ -60,17 +65,14 @@ MAX_OVR = 20
 class GroundProgram:
     """Variable-free program: rules (facts as empty-body rules), the
     interned atom table, and the ovr universe: the exception candidates
-    ground() finds plus every ovr atom in a head or NAF body."""
+    ground() finds plus every ovr atom in a head or NAF body.
+
+    Not checked for variables: ground() checks each rule's safety when
+    it compiles the rule, and translated facts are made of KB names."""
 
     rules: tuple[Rule, ...]
     atoms: tuple[Literal, ...]
     ovr_universe: tuple[Literal, ...]
-
-    def __post_init__(self) -> None:
-        for r in self.rules:
-            for l in (r.head, *r.body, *r.naf):
-                if any(is_var(t) for t in l.args):
-                    raise ValueError(f"non-ground rule: {l.text()}")
 
 
 @dataclass(frozen=True)
@@ -204,6 +206,16 @@ def _compile(rules: tuple[Rule, ...]) -> _Plans:
     plans, upfront, ovr = [], [], []
     triggers: dict[AtomKey, list] = {}
     for rid, r in enumerate(rules):
+        body_vars = {t for l in r.body for t in l.args if is_var(t)}
+        where = r.name or r.head.text()
+        for t in r.head.args:
+            if is_var(t) and t not in body_vars:
+                raise ValueError(f"unsafe head variable {t} in {where}")
+        for l in r.naf:
+            for t in l.args:
+                if is_var(t) and t not in body_vars:
+                    raise ValueError(
+                        f"unsafe negated variable {t} in {where}")
         slot: dict[str, int] = {}
         for l in (r.head, *r.body, *r.naf):
             for t in l.args:
@@ -346,6 +358,7 @@ def ground(p: Program) -> GroundProgram:
     their extensional body literals alone, any other head variable
     ranging over p.constants: the exception candidates, whether or not
     their other body literals can hold.  They are in the atom table too.
+    Raises ValueError when a rule of p is unsafe.
     """
     plans = _plans(p.rules)
     facts = dict.fromkeys(p.facts)

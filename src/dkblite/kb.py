@@ -66,7 +66,8 @@ _ASSERTION_SHAPES = frozenset(
 
 
 def _check_name(name: str) -> None:
-    if not name or any(ch.isspace() for ch in name):
+    # '?' marks a variable in the compiled program (program.is_var).
+    if not name or name.startswith("?") or any(ch.isspace() for ch in name):
         raise ValueError(f"bad identifier: {name!r}")
 
 

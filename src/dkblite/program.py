@@ -46,21 +46,14 @@ def neg(pred: str, *args: str) -> Literal:
 
 @dataclass(frozen=True)
 class Rule:
-    """head <- body, not naf[0], ..., not naf[-1]."""
+    """head <- body, not naf[0], ..., not naf[-1].
+
+    A plain record: safety (every head and negated variable occurs in
+    the positive body) is checked by engine.ground, once per rule."""
     head: Literal
     body: tuple[Literal, ...] = ()
     naf: tuple[Literal, ...] = ()
     name: str = field(default="", compare=False)
-
-    def __post_init__(self) -> None:
-        bound = {a for l in self.body for a in l.args if is_var(a)}
-        for term in self.head.args:
-            if is_var(term) and term not in bound:
-                raise ValueError(f"unsafe head variable {term} in {self.name or self.head.text()}")
-        for l in self.naf:
-            for term in l.args:
-                if is_var(term) and term not in bound:
-                    raise ValueError(f"unsafe negated variable {term} in {self.name or self.head.text()}")
 
 
 @dataclass(frozen=True)

@@ -16,14 +16,11 @@ pure propositional arithmetic and shares nothing with the pipeline.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 
 from . import kb as K
-from . import parser
 from .engine import ResourceLimitError
-from .normalize import normalize
 from .oracle import DEPTH_EXCEEDED, DepthExceeded, HerbrandModel, chase
 
 __all__ = [
@@ -33,10 +30,6 @@ __all__ = [
     "ar_entails_bruteforce",
     "from_2cnf",
     "circ_entails_bruteforce",
-    "render_flatkb",
-    "parse_flatkb",
-    "render_2cnf",
-    "parse_2cnf",
 ]
 
 @dataclass(frozen=True)
@@ -54,6 +47,13 @@ class FlatKB:
         for ax in self.abox:
             if not ax.is_assertion:
                 raise ValueError(f"non-assertion in abox: {ax.text()}")
+
+
+# Caps of the brute-force checkers: 2^12 repairs, chase depth 8, 2^20
+# truth assignments.
+MAX_ABOX = 12
+REPAIR_DEPTH_CAP = 8
+MAX_VARS = 20
 
 
 def _fresh_name(base: str, taken: set[str]) -> str:
@@ -116,24 +116,23 @@ def _signature_kwargs(k: FlatKB) -> tuple:
 # Pure function of hashable arguments; memoized because repair
 # enumeration chases the same (terminology, subset) pair once per query.
 @lru_cache(maxsize=65536)
-def _chase_strict(tbox, abox, sig, depth_cap):
+def _chase_strict(tbox, abox, sig):
     individuals, concepts, roles = sig
     kb = K.DKB.from_axioms(strict=tbox + abox, individuals=individuals,
                            concepts=concepts, roles=roles)
-    result = chase(kb, frozenset(), depth_cap=depth_cap)
+    result = chase(kb, frozenset(), depth_cap=REPAIR_DEPTH_CAP)
     if result is DEPTH_EXCEEDED:
         raise DepthExceeded(frozenset())
     return result
 
 
-def ar_entails_bruteforce(k: FlatKB, query: K.Axiom,
-                          max_abox: int = 12, depth_cap: int = 8) -> bool:
+def ar_entails_bruteforce(k: FlatKB, query: K.Axiom) -> bool:
     """Repair-based entailment by full enumeration: keep the maximal
     ABox subsets that are consistent with the terminology, and require
     the query in the chase of every one of them."""
-    if len(k.abox) > max_abox:
+    if len(k.abox) > MAX_ABOX:
         raise ResourceLimitError(
-            f"abox has {len(k.abox)} assertions, cap is {max_abox}")
+            f"abox has {len(k.abox)} assertions, cap is {MAX_ABOX}")
     atom = _query_atom(query)
     sig = _signature_kwargs(k)
     consistent: list[frozenset[int]] = []
@@ -142,7 +141,7 @@ def ar_entails_bruteforce(k: FlatKB, query: K.Axiom,
     for mask in range(1 << n):
         subset = frozenset(i for i in range(n) if mask >> i & 1)
         result = _chase_strict(
-            k.tbox, tuple(k.abox[i] for i in sorted(subset)), sig, depth_cap)
+            k.tbox, tuple(k.abox[i] for i in sorted(subset)), sig)
         if isinstance(result, HerbrandModel):
             consistent.append(subset)
             models[subset] = result
@@ -190,12 +189,12 @@ def from_2cnf(f: Positive2CNF) -> K.DKB:
         individuals=("a",), concepts=tuple(c[x] for x in f.variables))
 
 
-def circ_entails_bruteforce(f: Positive2CNF, max_vars: int = 20) -> bool:
+def circ_entails_bruteforce(f: Positive2CNF) -> bool:
     """Does the target hold in every model of the formula that is
     minimal in the non-target variables?  Full assignment enumeration."""
     n = len(f.variables)
-    if n > max_vars:
-        raise ResourceLimitError(f"{n} variables, cap is {max_vars}")
+    if n > MAX_VARS:
+        raise ResourceLimitError(f"{n} variables, cap is {MAX_VARS}")
     index = {x: i for i, x in enumerate(f.variables)}
     sats: list[frozenset[str]] = []
     for mask in range(1 << n):
@@ -206,61 +205,3 @@ def circ_entails_bruteforce(f: Positive2CNF, max_vars: int = 20) -> bool:
     minimal = [s for s in sats
                if not any(t - {f.target} < s - {f.target} for t in sats)]
     return all(f.target in s for s in minimal)
-
-
-# ---------------------------------------------------------------- corpus files
-#
-# One instance per file in the surface syntax; a pragma comment names
-# the query (flat KBs) or the target variable (2CNF instances).
-
-_PRAGMA = re.compile(r"^%!\s*(query|target):\s*(.+?)\s*$", re.MULTILINE)
-
-
-def _pragma(text: str, key: str) -> str:
-    hits = [m.group(2) for m in _PRAGMA.finditer(text) if m.group(1) == key]
-    if len(hits) != 1:
-        raise ValueError(f"expected exactly one %! {key}: pragma")
-    return hits[0]
-
-
-def render_flatkb(k: FlatKB, query: K.Axiom) -> str:
-    return (f"%! query: {query.text()}\n"
-            + parser.render_dkb(K.DKB.from_axioms(strict=k.tbox + k.abox)))
-
-
-def parse_flatkb(text: str) -> tuple[FlatKB, K.Axiom]:
-    query = parser.parse_query(_pragma(text, "query"))
-    kb = normalize(parser.parse_dkb(text))
-    if kb.defeasible:
-        raise ValueError("flat corpus files take no defeasible axioms")
-    tbox = tuple(ax for ax in kb.strict if not ax.is_assertion)
-    abox = tuple(ax for ax in kb.strict if ax.is_assertion)
-    return FlatKB(tbox, abox), query
-
-
-def render_2cnf(f: Positive2CNF) -> str:
-    return f"%! target: {f.target}\n" + parser.render_dkb(from_2cnf(f))
-
-
-def parse_2cnf(text: str) -> Positive2CNF:
-    target = _pragma(text, "target")
-    kb = normalize(parser.parse_dkb(text))
-    names = {}
-    for n in kb.vocabulary.concepts:
-        if not n.startswith("v_"):
-            raise ValueError(f"not a clause-variable concept: {n}")
-        names[n] = n[2:]
-    variables = tuple(names[n] for n in kb.vocabulary.concepts)
-    if target not in variables:
-        raise ValueError(f"target {target!r} not among the variables")
-    clauses = []
-    for ax in kb.strict:
-        if ax.shape == K.SUPNOT:
-            clauses.append((names[ax.args[0]], names[ax.args[1]]))
-        elif ax.shape == K.SUBCLASS:
-            if names[ax.args[1]] != target:
-                raise ValueError(f"stray inclusion {ax.text()}")
-            clauses.append((names[ax.args[0]], target))
-        else:
-            raise ValueError(f"stray axiom {ax.text()}")
-    return Positive2CNF(variables, tuple(clauses), target)

@@ -148,6 +148,14 @@ def test_parse_error_reports_position(capsys, tmp_path):
     assert "syntax" in err
 
 
+def test_non_utf8_input_is_a_usage_error(capsys, tmp_path):
+    p = tmp_path / "bad.dkb"
+    p.write_bytes(b"A(a).\n\xff\n")
+    code, out, err = run(capsys, "check-sat", p)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith(f"{p}: ")
+
+
 def test_exception_cap_exits_with_limit_code(capsys, dept_path):
     code, _, err = run(capsys, "models", dept_path, "--max-ovr", "1")
     assert code == EXIT_LIMIT
@@ -196,6 +204,20 @@ def test_each_command_takes_only_the_flags_it_reads(
     else:
         assert (code, out) == (EXIT_USAGE, "")
         assert "unrecognized arguments" in err
+
+
+CAP_CASES = [(cmd, flag) for cmd, read in FLAGS_READ.items()
+             for flag in ("--max-ovr", "--depth-cap") if flag in read]
+
+
+@pytest.mark.parametrize("command,flag", CAP_CASES,
+                         ids=[f"{c}-{f}" for c, f in CAP_CASES])
+def test_negative_caps_are_usage_errors(capsys, dept_path, command, flag):
+    query = FLAG_ARGS["--query"] if "--query" in FLAGS_READ[command] else ()
+    code, out, err = run(capsys, command, dept_path, flag, "-1", *query)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert flag in err
+    assert run(capsys, command, dept_path, flag, "0", *query)[0] != EXIT_USAGE
 
 
 # --- models ---

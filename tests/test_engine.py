@@ -9,6 +9,7 @@ import random
 import pytest
 
 from corpus import corpus_kbs, dept_kb, dept_text, flat_sample, scale_kb
+from dkblite import kb as K
 from dkblite.cli import EXIT_OK, main
 from dkblite.engine import (
     INCONSISTENT,
@@ -178,9 +179,19 @@ def test_ground_leaves_no_reference_cycles(k_dept):
         gc.enable()
 
 
-def test_ground_rejects_unsubstituted_variables():
-    with pytest.raises(ValueError):
-        make_ground_program([Rule(lit("p", "?x"), (), ())])
+def test_kb_rejects_variable_like_names():
+    # ground does not check its output for variables: a '?'-initial KB
+    # name is the only way one could reach it, and the KB refuses it.
+    for build in (
+        lambda: K.concept_assertion("A", "?x"),
+        lambda: K.concept_assertion("?A", "a"),
+        lambda: K.role_assertion("?r", "a", "b"),
+        lambda: K.Vocabulary(individuals=("?x",)),
+        lambda: K.Vocabulary(concepts=("?A",)),
+        lambda: K.Vocabulary(roles=("?r",)),
+    ):
+        with pytest.raises(ValueError, match="bad identifier"):
+            build()
 
 
 # --- reduct ---

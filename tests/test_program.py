@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from dkblite.engine import ground
 from dkblite.program import (
     AspSyntaxError,
     Literal,
@@ -40,12 +41,13 @@ def test_rule_text_with_naf():
 
 
 def test_safety_checks():
-    with pytest.raises(ValueError):
-        Rule(lit("p", "?x"))  # head variable unbound
-    with pytest.raises(ValueError):
-        Rule(lit("p", "a"), (), (lit("q", "?y"),))  # naf variable unbound
-    Rule(lit("p", "a"))  # ground fact-shaped rule is fine
-    Rule(lit("p", "?x"), (lit("q", "?x"),))
+    # Rule is a plain record; ground checks safety when it compiles a rule.
+    with pytest.raises(ValueError, match="unsafe head variable"):
+        ground(Program(rules=(Rule(lit("p", "?x")),)))
+    with pytest.raises(ValueError, match="unsafe negated variable"):
+        ground(Program(rules=(Rule(lit("p", "a"), (), (lit("q", "?y"),)),)))
+    ground(Program(rules=(Rule(lit("p", "a")),)))  # fact-shaped rule is fine
+    ground(Program(rules=(Rule(lit("p", "?x"), (lit("q", "?x"),)),)))
 
 
 def test_export_deterministic():

@@ -12,10 +12,6 @@ from dkblite.reductions import (
     circ_entails_bruteforce,
     from_2cnf,
     from_inconsistent_kb,
-    parse_2cnf,
-    parse_flatkb,
-    render_2cnf,
-    render_flatkb,
 )
 
 DIAMOND = FlatKB(
@@ -171,35 +167,6 @@ def test_circ_variable_cap():
     f = Positive2CNF(names, (), "x0")
     with pytest.raises(ResourceLimitError):
         circ_entails_bruteforce(f)
-
-
-# --- corpus file formats ---
-
-
-def test_flat_corpus_round_trip():
-    q = K.concept_assertion("C", "a")
-    text = render_flatkb(DIAMOND, q)
-    assert text.startswith("%! query: C(a)\n")
-    k2, q2 = parse_flatkb(text)
-    assert (k2, q2) == (DIAMOND, q)
-
-
-def test_2cnf_corpus_round_trip():
-    f = Positive2CNF(("x", "y", "z"), (("x", "y"), ("x", "z")), "z")
-    text = render_2cnf(f)
-    assert text.startswith("%! target: z\n")
-    assert parse_2cnf(text) == f
-
-
-def test_corpus_pragma_errors():
-    q = K.concept_assertion("C", "a")
-    text = render_flatkb(DIAMOND, q)
-    with pytest.raises(ValueError, match="pragma"):
-        parse_flatkb(text.replace("%! query: C(a)\n", ""))
-    with pytest.raises(ValueError, match="pragma"):
-        parse_flatkb("%! query: C(a)\n" + text)
-    with pytest.raises(ValueError, match="defeasible"):
-        parse_flatkb("%! query: C(a)\nconcept C.\nindividual a.\nD(C(a)).\n")
 
 
 def test_emulation_is_entailment_invisible():
