@@ -1,5 +1,7 @@
 """Defeasible DL-Lite reasoning via translation to answer set programs."""
 
+import importlib
+
 from .kb import (
     Axiom,
     ClashingAssumption,
@@ -23,16 +25,6 @@ from .program import Literal, Program, Rule, export_asp_text, parse_asp_text
 from .translate import translate, output_atom
 from .parser import ParseError, SurfaceAxiom, SurfaceKB, parse_dkb, parse_query
 from .normalize import normalize
-from .oracle import (
-    DEPTH_EXCEEDED,
-    ClashingSet,
-    DepthExceeded,
-    HerbrandModel,
-    chase,
-    check_justified,
-    oracle_answer,
-    oracle_models,
-)
 from .reasoner import (
     EntailmentResult,
     JustifiedModelReport,
@@ -40,14 +32,6 @@ from .reasoner import (
     json_report,
     justified_models,
     satisfiable,
-)
-from .reductions import (
-    FlatKB,
-    Positive2CNF,
-    ar_entails_bruteforce,
-    circ_entails_bruteforce,
-    from_2cnf,
-    from_inconsistent_kb,
 )
 from .engine import (
     INCONSISTENT,
@@ -79,3 +63,24 @@ __all__ = [
     "FlatKB", "Positive2CNF", "ar_entails_bruteforce",
     "circ_entails_bruteforce", "from_2cnf", "from_inconsistent_kb",
 ]
+
+# The oracle and the reductions serve cross-checks only (oracle-check and
+# the tests); their names are imported on first use, so that importing the
+# package does not load them.
+_LAZY = {
+    **dict.fromkeys(
+        ("DEPTH_EXCEEDED", "ClashingSet", "DepthExceeded", "HerbrandModel",
+         "chase", "check_justified", "oracle_answer", "oracle_models"),
+        "oracle"),
+    **dict.fromkeys(
+        ("FlatKB", "Positive2CNF", "ar_entails_bruteforce",
+         "circ_entails_bruteforce", "from_2cnf", "from_inconsistent_kb"),
+        "reductions"),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)

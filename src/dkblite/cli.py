@@ -15,7 +15,6 @@ import sys
 from . import kb as K
 from .engine import MAX_OVR, ResourceLimitError, answer_sets, ground
 from .normalize import normalize
-from .oracle import DepthExceeded, oracle_models
 from .parser import ParseError, parse_dkb, parse_query, render_dkb
 from .program import export_asp_text
 from .reasoner import (
@@ -42,7 +41,7 @@ class _CliError(Exception):
 
 def _load(path: str) -> K.DKB:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as e:
         raise _CliError(EXIT_USAGE, f"{path}: {e.strerror or e}")
@@ -138,10 +137,16 @@ def _cmd_normalize(kb: K.DKB, args) -> int:
 
 
 def _cmd_oracle_check(kb: K.DKB, args) -> int:
+    # Imported here: no other command needs the oracle's code.
+    from .oracle import DepthExceeded, oracle_models
+
     p = translate(kb)
     sets_ = answer_sets(ground(p), max_ovr=args.max_ovr)
     reports = [decode_model(kb, m) for m in sets_]
-    omodels = oracle_models(kb, depth_cap=args.depth_cap)
+    try:
+        omodels = oracle_models(kb, depth_cap=args.depth_cap)
+    except DepthExceeded as e:
+        raise _CliError(EXIT_LIMIT, f"resource limit: {e}")
 
     disagreements: list[str] = []
     if bool(reports) != bool(omodels):
@@ -253,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
     except _CliError as e:
         print(str(e), file=sys.stderr)
         return e.code
-    except (ResourceLimitError, DepthExceeded) as e:
+    except ResourceLimitError as e:
         print(f"resource limit: {e}", file=sys.stderr)
         return EXIT_LIMIT
 

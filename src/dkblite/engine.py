@@ -25,6 +25,16 @@ knowledge bases is the ovr universe; guesses outside the least model of
 the negation-free over-approximation cannot be reproduced and are
 skipped.  Strongly negated literals are interned as atoms of their own,
 with consistency enforced the moment a complementary pair is derived.
+
+The largest guess comes first.  It assumes every atom that can be
+assumed, so its reduct keeps the fewest rules: it is a subprogram of the
+reduct under any other guess, and its least model M0 is contained in
+every other least model.  Hence M0 is contained in every answer set, and
+when M0 is inconsistent there is no answer set at all.  ModelSearch
+yields answer sets as solver id sets, so a caller can stop at the first
+one that settles its question: satisfiability at the first answer set,
+entailment of an atom at the first answer set lacking it, or at the
+first answer set when the atom is in M0.
 """
 
 from __future__ import annotations
@@ -508,10 +518,9 @@ def _assumption_universe(gp: GroundProgram) -> tuple[Literal, ...]:
     return tuple(sorted(u))
 
 
-def iter_answer_sets(gp: GroundProgram,
-                     max_ovr: int = MAX_OVR) -> Iterator[AnswerSet]:
-    """Answer sets by guess-and-check over the assumption universe, from
-    the largest guess to the smallest.
+class ModelSearch:
+    """The answer sets of one ground program, as sets of solver atom ids,
+    from the largest guess to the smallest.
 
     A guess X is accepted when the least model M of the reduct under X is
     consistent and M reproduces X on the universe.  Guesses outside the
@@ -520,36 +529,63 @@ def iter_answer_sets(gp: GroundProgram,
     least model can never contain them.  The first guess assumes every
     remaining atom, so its reduct is a subprogram of every other reduct:
     when its least model is inconsistent, so is every other, and there is
-    no answer set.  The max_ovr cap is checked after that first guess,
-    before the rest of the search.
-    """
-    universe = _assumption_universe(gp)
-    solver = _Solver(gp)
-    uids = [solver.index[a] for a in universe]
-    uset = frozenset(uids)
-    upper = solver.least_ids(frozenset(), check=False)
-    assert not isinstance(upper, _Inconsistent)
-    possible = [i for i in uids if i in upper]
+    no answer set.  Otherwise that least model, M0, is contained in the
+    least model of every other reduct, hence in every answer set; it is
+    `certain` once iteration has computed it.  The max_ovr cap is
+    checked after that first guess, before the rest of the search.
 
-    guesses = itertools.chain.from_iterable(
-        itertools.combinations(possible, k)
-        for k in range(len(possible), -1, -1))
-    for n, combo in enumerate(guesses):
-        x = frozenset(combo)
-        m = solver.least_ids(x)
-        if m is INCONSISTENT:
-            if n == 0:
-                return
-            continue
-        if m & uset == x:
-            lits = solver.decode(m)
-            yield AnswerSet(
-                literals=lits,
-                ovr_atoms=frozenset(l for l in lits if l.pred == "ovr"))
-        if n == 0 and len(universe) > max_ovr:
+    Iterating decodes nothing: `solver.index` maps a literal to its id,
+    and `solver.decode` maps an id set back to literals.
+    """
+
+    def __init__(self, gp: GroundProgram, max_ovr: int = MAX_OVR) -> None:
+        self.solver = _Solver(gp)
+        self.universe = _assumption_universe(gp)
+        self.max_ovr = max_ovr
+        self.certain: set[int] = set()
+
+    def check_cap(self) -> None:
+        """Raise ResourceLimitError when the universe exceeds max_ovr."""
+        if len(self.universe) > self.max_ovr:
             raise ResourceLimitError(
-                f"assumption universe has {len(universe)} atoms"
-                f" (cap {max_ovr})")
+                f"assumption universe has {len(self.universe)} atoms"
+                f" (cap {self.max_ovr})")
+
+    def __iter__(self) -> Iterator[set[int]]:
+        solver = self.solver
+        uids = [solver.index[a] for a in self.universe]
+        uset = frozenset(uids)
+        upper = solver.least_ids(frozenset(), check=False)
+        assert not isinstance(upper, _Inconsistent)
+        possible = [i for i in uids if i in upper]
+
+        guesses = itertools.chain.from_iterable(
+            itertools.combinations(possible, k)
+            for k in range(len(possible), -1, -1))
+        for n, combo in enumerate(guesses):
+            x = frozenset(combo)
+            m = solver.least_ids(x)
+            if m is INCONSISTENT:
+                if n == 0:
+                    return
+                continue
+            if n == 0:
+                self.certain = m
+            if m & uset == x:
+                yield m
+            if n == 0:
+                self.check_cap()
+
+
+def iter_answer_sets(gp: GroundProgram,
+                     max_ovr: int = MAX_OVR) -> Iterator[AnswerSet]:
+    """The answer sets of ModelSearch, decoded, in its order."""
+    search = ModelSearch(gp, max_ovr)
+    for ids in search:
+        lits = search.solver.decode(ids)
+        yield AnswerSet(
+            literals=lits,
+            ovr_atoms=frozenset(l for l in lits if l.pred == "ovr"))
 
 
 def answer_sets(gp: GroundProgram,

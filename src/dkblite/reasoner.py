@@ -2,9 +2,9 @@
 
 Everything funnels through the same pipeline: compile the KB to a
 program, ground it, and inspect answer sets.  Satisfiability stops at
-the first answer set the search finds; entailment and reporting
-enumerate them all and decode the exception atoms back to clashing
-assumptions.
+the first answer set the search finds, and entailment at the first one
+that settles the query; reporting enumerates them all and decodes the
+exception atoms back to clashing assumptions.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import kb as K
-from .engine import MAX_OVR, AnswerSet, answer_sets, ground, iter_answer_sets
+from .engine import MAX_OVR, AnswerSet, ModelSearch, answer_sets, ground
 from .program import Literal
 from .translate import decode_ovr, output_atom, translate
 
@@ -53,8 +53,8 @@ class JustifiedModelReport:
 def satisfiable(kb: K.DKB, max_ovr: int = MAX_OVR) -> bool:
     """True iff the KB has a justified model; the search stops at the
     first one it finds."""
-    gp = ground(translate(kb))
-    return next(iter_answer_sets(gp, max_ovr=max_ovr), None) is not None
+    search = ModelSearch(ground(translate(kb)), max_ovr)
+    return next(iter(search), None) is not None
 
 
 def entailment(models: list[AnswerSet], atom: Literal) -> EntailmentResult:
@@ -74,10 +74,27 @@ def entails(kb: K.DKB, query: K.Axiom,
     constants are permitted as role arguments.  Negated assertion
     shapes test strong-negative membership (an extension: the output
     mapping defines them, but callers should surface them only behind
-    an explicit opt-in)."""
+    an explicit opt-in).
+
+    The search stops at the first answer set that settles the query:
+    one that lacks the atom, or the first one when the atom is in the
+    search's certain part, which every answer set contains.  The result,
+    and when ResourceLimitError is raised, are those of entailment() over
+    every answer set."""
     p = translate(kb)
     atom = output_atom(p, query)
-    return entailment(answer_sets(ground(p), max_ovr=max_ovr), atom)
+    search = ModelSearch(ground(p), max_ovr)
+    target = search.solver.index.get(atom)
+    models = iter(search)
+    first = next(models, None)
+    if first is None:
+        return EntailmentResult(entailed=True, unsat=True)
+    entailed = target in first and (
+        target in search.certain or all(target in m for m in models))
+    # Stopping early skips the search's own cap check after its first
+    # guess, which a consistent first guess always reaches.
+    search.check_cap()
+    return EntailmentResult(entailed=entailed, unsat=False)
 
 
 def _ca_key(ca: K.ClashingAssumption) -> tuple:

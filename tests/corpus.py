@@ -291,6 +291,20 @@ def dept_kb(n: int, s: int) -> K.DKB:
     return normalize(parse_dkb(dept_text(n, s)))
 
 
+# --- Nixon diamonds (real choices) ---
+
+
+def nixon_text(k: int) -> str:
+    """Nixon(k): k individuals p0.., each both a Quaker and a Republican,
+    under two defaults that pull it to Pacifist and to -Pacifist.  Each
+    individual overrides exactly one of them, so there are 2^k justified
+    models: Quaker(p_i) is entailed, Pacifist(p_i) and -Pacifist(p_i)
+    are not."""
+    return ("D(Quaker [= Pacifist).\nD(Republican [= -Pacifist).\n"
+            + "".join(f"Quaker(p{i}).\nRepublican(p{i}).\n"
+                      for i in range(k)))
+
+
 # --- wide KB (throughput check) ---
 
 def scale_kb() -> K.DKB:

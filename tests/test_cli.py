@@ -1,8 +1,14 @@
 """Command-line interface."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
+
+import dkblite
 
 from dkblite.cli import EXIT_LIMIT, EXIT_NO, EXIT_OK, EXIT_USAGE, main
 from dkblite.normalize import normalize
@@ -156,6 +162,20 @@ def test_non_utf8_input_is_a_usage_error(capsys, tmp_path):
     assert err.startswith(f"{p}: ")
 
 
+def test_leading_byte_order_mark_is_accepted(capsys, dept_path, tmp_path):
+    p = tmp_path / "bom.dkb"
+    p.write_bytes(b"\xef\xbb\xbf" + dept_path.read_bytes())
+    assert run(capsys, "check-sat", p) == run(capsys, "check-sat", dept_path)
+
+
+def test_byte_order_mark_after_the_start_is_a_parse_error(capsys, tmp_path):
+    p = tmp_path / "inner_bom.dkb"
+    p.write_text("A\ufeff(a).\n", encoding="utf-8")
+    code, out, err = run(capsys, "check-sat", p)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"{p}:1:2: syntax: unexpected character '\\ufeff'\n"
+
+
 def test_exception_cap_exits_with_limit_code(capsys, dept_path):
     code, _, err = run(capsys, "models", dept_path, "--max-ovr", "1")
     assert code == EXIT_LIMIT
@@ -307,6 +327,37 @@ def test_oracle_check_json(capsys, dept_path):
     data = json.loads(out)
     assert data == {"agree": True, "models": 1, "queries_checked": 12,
                     "disagreements": []}
+
+
+def test_oracle_check_depth_cap_is_a_resource_limit(capsys, tmp_path):
+    # A cyclic existential TBox: the oracle's chase stops at its depth cap.
+    p = tmp_path / "cyclic.dkb"
+    p.write_text("A [= exists R.\nexists R^- [= A.\nA(a).\n")
+    code, out, err = run(capsys, "oracle-check", p)
+    assert (code, out) == (EXIT_LIMIT, "")
+    assert err.startswith("resource limit: chase depth cap exceeded")
+
+
+def test_oracle_is_imported_only_by_oracle_check(dept_path):
+    # In a fresh interpreter: the package's public names still resolve,
+    # but only on first use do they load the oracle and the reductions.
+    src = pathlib.Path(dkblite.__file__).parent.parent
+    script = (
+        "import sys\n"
+        "import dkblite\n"
+        "from dkblite.cli import main\n"
+        f"assert main(['check-sat', {str(dept_path)!r}]) == 0\n"
+        "lazy = ('dkblite.oracle', 'dkblite.reductions')\n"
+        "print([m for m in lazy if m in sys.modules])\n"
+        "for name in dkblite.__all__:\n"
+        "    getattr(dkblite, name)\n"
+        "print([m for m in lazy if m in sys.modules])\n")
+    done = subprocess.run([sys.executable, "-c", script], cwd=src,
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "satisfiable\n[]\n['dkblite.oracle', 'dkblite.reductions']\n",
+        "")
 
 
 # --- determinism ---

@@ -4,21 +4,30 @@ import json
 
 import pytest
 
+from dkblite import engine
 from dkblite import kb as K
-from dkblite.engine import answer_sets, ground
+from dkblite.engine import MAX_OVR, ResourceLimitError, answer_sets, ground
 from dkblite.normalize import normalize
 from dkblite.oracle import oracle_answer, oracle_models
 from dkblite.parser import parse_dkb
 from dkblite.reasoner import (
     EntailmentResult,
+    entailment,
     entails,
     json_report,
     justified_models,
     satisfiable,
 )
-from dkblite.translate import translate
+from dkblite.translate import output_atom, translate
 
 from conftest import DEPT_DEFAULT, dis_kb, nixon_kb, subrole_kb
+from corpus import (
+    corpus_kbs,
+    dept_kb,
+    flat_queries,
+    flat_sample,
+    nixon_text,
+)
 
 CA_BOB = K.ClashingAssumption(DEPT_DEFAULT, ("bob",))
 
@@ -82,6 +91,79 @@ def test_entails_flags_the_vacuous_case():
     r = entails(kb, K.concept_assertion("A", "a"))
     assert r == EntailmentResult(entailed=True, unsat=True)
     assert bool(r)
+
+
+def _limited(f):
+    """f(), or "limit" when it raises ResourceLimitError."""
+    try:
+        return f()
+    except ResourceLimitError:
+        return "limit"
+
+
+def _differential_cases():
+    """(kb, queries, caps) for the early-exit differential test."""
+    caps = (MAX_OVR, 0, 1, 2)
+    for kb in corpus_kbs(240, 1806):
+        yield kb, K.named_queries(kb), caps
+    for kb in flat_sample():
+        v = kb.vocabulary
+        names = set(v.concepts) | set(v.individuals)
+        yield kb, [q for q in flat_queries() if set(q.args) <= names], \
+            (MAX_OVR,)
+    for s in range(1, 9):
+        kb = dept_kb(2 * s, s)
+        yield kb, [K.role_assertion("hasCourse", x, "aux_0")
+                   for x in kb.vocabulary.individuals], (MAX_OVR, 1)
+    for k in range(1, 6):
+        kb = normalize(parse_dkb(nixon_text(k)))
+        yield kb, [f(c, f"p{i}") for i in range(k)
+                   for f, c in ((K.concept_assertion, "Quaker"),
+                                (K.concept_assertion, "Pacifist"),
+                                (K.neg_concept_assertion, "Pacifist"))], \
+            (MAX_OVR,)
+
+
+def test_entails_equals_enumerate_then_check():
+    # entails stops at the first answer set that settles the query; it
+    # must answer, and hit the cap, exactly as checking every answer set.
+    checked = limited = 0
+    for kb, queries, caps in _differential_cases():
+        p = translate(kb)
+        gp = ground(p)
+        for c in caps:
+            models = _limited(lambda: answer_sets(gp, max_ovr=c))
+            for q in queries:
+                want = models if models == "limit" else entailment(
+                    models, output_atom(p, q))
+                got = _limited(lambda: entails(kb, q, max_ovr=c))
+                assert got == want, (q.text(), c)
+                checked += 1
+                limited += want == "limit"
+    assert checked > 10_000 and limited > 1_000
+
+
+def test_entails_stops_at_the_first_settling_model(monkeypatch):
+    # dept(20, 10) has one model among 2^10 guesses.  A student's course
+    # is missing from the first answer set; a professor's course and
+    # membership lie in the least model under the first guess.  Either
+    # way the search stops after the over-approximation and that guess.
+    calls = 0
+    least_ids = engine._Solver.least_ids
+
+    def counted(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return least_ids(self, *args, **kwargs)
+
+    monkeypatch.setattr(engine._Solver, "least_ids", counted)
+    kb = dept_kb(20, 10)
+    for q, want in ((K.role_assertion("hasCourse", "p000", "aux_0"), False),
+                    (K.role_assertion("hasCourse", "p001", "aux_0"), True),
+                    (K.concept_assertion("DeptMember", "p001"), True)):
+        calls = 0
+        assert entails(kb, q, max_ovr=40) == EntailmentResult(want, False)
+        assert calls <= 3, q.text()
 
 
 # --- justified_models ---
