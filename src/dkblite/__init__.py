@@ -40,7 +40,6 @@ from .engine import (
     ResourceLimitError,
     answer_sets,
     ground,
-    is_answer_set,
     least_model,
     reduct,
 )
@@ -53,7 +52,7 @@ __all__ = [
     "Literal", "Program", "Rule", "export_asp_text", "parse_asp_text",
     "translate", "output_atom",
     "INCONSISTENT", "AnswerSet", "GroundProgram", "ResourceLimitError",
-    "answer_sets", "ground", "is_answer_set", "least_model", "reduct",
+    "answer_sets", "ground", "least_model", "reduct",
     "ParseError", "SurfaceAxiom", "SurfaceKB", "parse_dkb", "parse_query",
     "normalize",
     "DEPTH_EXCEEDED", "ClashingSet", "DepthExceeded", "HerbrandModel",

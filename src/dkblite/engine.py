@@ -592,10 +592,3 @@ def answer_sets(gp: GroundProgram,
                 max_ovr: int = MAX_OVR) -> list[AnswerSet]:
     """All answer sets of gp, sorted; see iter_answer_sets."""
     return sorted(iter_answer_sets(gp, max_ovr), key=AnswerSet.sort_key)
-
-
-def is_answer_set(gp: GroundProgram, i: Iterable[Literal]) -> bool:
-    """True iff i is the least model of the reduct of gp under i."""
-    i = frozenset(i)
-    m = least_model(reduct(gp, i))
-    return m is not INCONSISTENT and m == i

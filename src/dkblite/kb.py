@@ -11,58 +11,54 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from typing import NamedTuple
 
 # The twelve normal-form axiom shapes.
-CONCEPT_ASSERTION = "concept_assertion"        # A(a)
-ROLE_ASSERTION = "role_assertion"              # R(a,b)
-NEG_CONCEPT_ASSERTION = "neg_concept_assertion"  # -A(a)
-NEG_ROLE_ASSERTION = "neg_role_assertion"      # -R(a,b)
-SUBCLASS = "subclass"                          # A [= B
-SUPNOT = "supnot"                              # A [= -B
-SUBEX = "subex"                                # exists R [= B
-SUPEX = "supex"                                # A [= exists R
-SUBROLE = "subrole"                            # R [= S
-DIS = "dis"                                    # Dis(R,S)
-INV = "inv"                                    # Inv(R,S)
-IRR = "irr"                                    # Irr(R)
+CONCEPT_ASSERTION = "concept_assertion"
+ROLE_ASSERTION = "role_assertion"
+NEG_CONCEPT_ASSERTION = "neg_concept_assertion"
+NEG_ROLE_ASSERTION = "neg_role_assertion"
+SUBCLASS = "subclass"
+SUPNOT = "supnot"
+SUBEX = "subex"
+SUPEX = "supex"
+SUBROLE = "subrole"
+DIS = "dis"
+INV = "inv"
+IRR = "irr"
 
-_ARITY = {
-    CONCEPT_ASSERTION: 2,        # (concept, individual)
-    ROLE_ASSERTION: 3,           # (role, individual, individual)
-    NEG_CONCEPT_ASSERTION: 2,
-    NEG_ROLE_ASSERTION: 3,
-    SUBCLASS: 2,                 # (concept, concept)
-    SUPNOT: 2,
-    SUBEX: 2,                    # (role, concept)
-    SUPEX: 2,                    # (concept, role)
-    SUBROLE: 2,                  # (role, role)
-    DIS: 2,
-    INV: 2,
-    IRR: 1,
+
+class _Shape(NamedTuple):
+    """What the model knows about one normal-form shape."""
+    text: str                # surface syntax; {i} is the i-th argument
+    sorts: tuple[str, ...]   # sort of each argument
+    # How many named individuals a clashing assumption on an axiom of
+    # this shape carries.  Assertions name their own individuals, so their
+    # exception tuple is empty; concept-level axioms take one subject;
+    # role-pair axioms take the pair of edge endpoints.
+    ca_arity: int
+
+
+_C, _R, _I = "concept", "role", "individual"
+_SHAPES = {
+    CONCEPT_ASSERTION: _Shape("{0}({1})", (_C, _I), 0),
+    ROLE_ASSERTION: _Shape("{0}({1},{2})", (_R, _I, _I), 0),
+    NEG_CONCEPT_ASSERTION: _Shape("-{0}({1})", (_C, _I), 0),
+    NEG_ROLE_ASSERTION: _Shape("-{0}({1},{2})", (_R, _I, _I), 0),
+    SUBCLASS: _Shape("{0} [= {1}", (_C, _C), 1),
+    SUPNOT: _Shape("{0} [= -{1}", (_C, _C), 1),
+    SUBEX: _Shape("exists {0} [= {1}", (_R, _C), 1),
+    SUPEX: _Shape("{0} [= exists {1}", (_C, _R), 1),
+    SUBROLE: _Shape("{0} [= {1}", (_R, _R), 2),
+    DIS: _Shape("Dis({0},{1})", (_R, _R), 2),
+    INV: _Shape("Inv({0},{1})", (_R, _R), 2),
+    IRR: _Shape("Irr({0})", (_R,), 1),
 }
-
-# Exception-tuple arity: how many named individuals a clashing assumption on
-# an axiom of this shape carries.  Assertions name their own individuals, so
-# their exception tuple is empty; concept-level axioms take one subject;
-# role-pair axioms take the pair of edge endpoints.
-CA_ARITY = {
-    CONCEPT_ASSERTION: 0,
-    ROLE_ASSERTION: 0,
-    NEG_CONCEPT_ASSERTION: 0,
-    NEG_ROLE_ASSERTION: 0,
-    SUBCLASS: 1,
-    SUPNOT: 1,
-    SUBEX: 1,
-    SUPEX: 1,
-    SUBROLE: 2,
-    DIS: 2,
-    INV: 2,
-    IRR: 1,
-}
-
-_ASSERTION_SHAPES = frozenset(
-    (CONCEPT_ASSERTION, ROLE_ASSERTION, NEG_CONCEPT_ASSERTION,
-     NEG_ROLE_ASSERTION))
+SORTS = {shape: row.sorts for shape, row in _SHAPES.items()}
+CA_ARITY = {shape: row.ca_arity for shape, row in _SHAPES.items()}
+# Assertions are the shapes that name individuals.
+ASSERTION_SHAPES = frozenset(
+    shape for shape, row in _SHAPES.items() if _I in row.sorts)
 
 
 def _check_name(name: str) -> None:
@@ -83,45 +79,22 @@ class Axiom:
     args: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if self.shape not in _ARITY:
+        if self.shape not in SORTS:
             raise ValueError(f"unknown axiom shape: {self.shape}")
-        if len(self.args) != _ARITY[self.shape]:
+        if len(self.args) != len(SORTS[self.shape]):
             raise ValueError(
-                f"{self.shape} takes {_ARITY[self.shape]} arguments, "
+                f"{self.shape} takes {len(SORTS[self.shape])} arguments, "
                 f"got {self.args!r}")
         for a in self.args:
             _check_name(a)
 
     @property
     def is_assertion(self) -> bool:
-        return self.shape in _ASSERTION_SHAPES
+        return self.shape in ASSERTION_SHAPES
 
     def text(self) -> str:
         """Surface-syntax rendering, without any defeasible wrapper."""
-        s, a = self.shape, self.args
-        if s == CONCEPT_ASSERTION:
-            return f"{a[0]}({a[1]})"
-        if s == NEG_CONCEPT_ASSERTION:
-            return f"-{a[0]}({a[1]})"
-        if s == ROLE_ASSERTION:
-            return f"{a[0]}({a[1]},{a[2]})"
-        if s == NEG_ROLE_ASSERTION:
-            return f"-{a[0]}({a[1]},{a[2]})"
-        if s == SUBCLASS:
-            return f"{a[0]} [= {a[1]}"
-        if s == SUPNOT:
-            return f"{a[0]} [= -{a[1]}"
-        if s == SUBEX:
-            return f"exists {a[0]} [= {a[1]}"
-        if s == SUPEX:
-            return f"{a[0]} [= exists {a[1]}"
-        if s == SUBROLE:
-            return f"{a[0]} [= {a[1]}"
-        if s == DIS:
-            return f"Dis({a[0]},{a[1]})"
-        if s == INV:
-            return f"Inv({a[0]},{a[1]})"
-        return f"Irr({a[0]})"
+        return _SHAPES[self.shape].text.format(*self.args)
 
 
 # Constructor helpers; argument names follow the surface reading.
@@ -193,24 +166,6 @@ class Vocabulary:
             raise ValueError(f"name used in two sorts: {sorted(clash)}")
 
 
-def _axiom_sorts(ax: Axiom) -> tuple[tuple[str, str], ...]:
-    """(name, sort) pairs for every identifier the axiom uses."""
-    s, a = ax.shape, ax.args
-    if s in (CONCEPT_ASSERTION, NEG_CONCEPT_ASSERTION):
-        return ((a[0], "concept"), (a[1], "individual"))
-    if s in (ROLE_ASSERTION, NEG_ROLE_ASSERTION):
-        return ((a[0], "role"), (a[1], "individual"), (a[2], "individual"))
-    if s in (SUBCLASS, SUPNOT):
-        return ((a[0], "concept"), (a[1], "concept"))
-    if s == SUBEX:
-        return ((a[0], "role"), (a[1], "concept"))
-    if s == SUPEX:
-        return ((a[0], "concept"), (a[1], "role"))
-    if s in (SUBROLE, DIS, INV):
-        return ((a[0], "role"), (a[1], "role"))
-    return ((a[0], "role"),)
-
-
 @dataclass(frozen=True)
 class DKB:
     """A defeasible knowledge base: strict axioms plus overridable ones.
@@ -229,7 +184,7 @@ class DKB:
             "individual": set(self.vocabulary.individuals),
         }
         for ax in self.strict + self.defeasible:
-            for name, sort in _axiom_sorts(ax):
+            for name, sort in zip(ax.args, SORTS[ax.shape]):
                 if name not in known[sort]:
                     raise ValueError(
                         f"{sort} {name!r} not declared (axiom {ax.text()})")
@@ -246,7 +201,7 @@ class DKB:
         rs: list[str] = list(roles)
         inds: list[str] = list(individuals)
         for ax in tuple(strict) + tuple(defeasible):
-            for name, sort in _axiom_sorts(ax):
+            for name, sort in zip(ax.args, SORTS[ax.shape]):
                 bucket = {"concept": cs, "role": rs, "individual": inds}[sort]
                 if name not in bucket:
                     bucket.append(name)
@@ -291,15 +246,8 @@ def ca_candidates(kb: DKB) -> tuple[ClashingAssumption, ...]:
     named individuals of the matching arity.  Deterministic order: axiom
     order, then lexicographic tuples in individual declaration order."""
     inds = kb.vocabulary.individuals
-    out: list[ClashingAssumption] = []
-    for ax in kb.defeasible:
-        arity = CA_ARITY[ax.shape]
-        if arity == 0:
-            out.append(ClashingAssumption(ax, ()))
-        else:
-            for tup in product(inds, repeat=arity):
-                out.append(ClashingAssumption(ax, tup))
-    return tuple(out)
+    return tuple(ClashingAssumption(ax, tup) for ax in kb.defeasible
+                 for tup in product(inds, repeat=CA_ARITY[ax.shape]))
 
 
 def named_queries(kb: DKB) -> tuple[Axiom, ...]:

@@ -118,14 +118,6 @@ def normalize(kb: K.DKB | P.SurfaceKB) -> K.DKB:
             base, inverted = _split_role(a[0])
             args = (base, a[2], a[1]) if inverted else (base, a[1], a[2])
             out.append(K.Axiom(s, args))
-        elif s in (K.SUBEX, K.SUPEX):
-            role = role_in_place(a[0] if s == K.SUBEX else a[1])
-            args = (role, a[1]) if s == K.SUBEX else (a[0], role)
-            out.append(K.Axiom(s, args))
-        elif s in (K.SUBROLE, K.DIS, K.INV):
-            out.append(K.Axiom(s, tuple(role_in_place(t) for t in a)))
-        elif s == K.IRR:
-            out.append(K.irr(role_in_place(a[0])))
         elif s == P.NEG_SUPEX:
             out.append(K.supnot(a[0], neg_ex_concept(a[1])))
         elif s == P.EXISTS_ASSERTION:
@@ -133,7 +125,9 @@ def normalize(kb: K.DKB | P.SurfaceKB) -> K.DKB:
         elif s == P.NEG_EXISTS_ASSERTION:
             out.append(K.neg_concept_assertion(neg_ex_concept(a[0]), a[1]))
         else:
-            out.append(K.Axiom(s, a))
+            out.append(K.Axiom(s, tuple(
+                role_in_place(t) if sort == "role" else t
+                for t, sort in zip(a, K.SORTS[s]))))
 
     strict += helpers
     minted_concepts = tuple(sorted(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import kb as K
 from .engine import MAX_OVR, AnswerSet, ModelSearch, answer_sets, ground
 from .program import Literal
-from .translate import decode_ovr, output_atom, translate
+from .translate import decode_output, decode_ovr, output_atom, translate
 
 __all__ = [
     "EntailmentResult",
@@ -108,16 +108,9 @@ def decode_model(kb: K.DKB, m: AnswerSet) -> JustifiedModelReport:
     pos: list[K.Axiom] = []
     neg: list[K.Axiom] = []
     for l in m.literals:
-        if l.pred == "instd":
-            ax = (K.neg_concept_assertion(l.args[1], l.args[0]) if l.neg
-                  else K.concept_assertion(l.args[1], l.args[0]))
-        elif l.pred == "tripled":
-            ax = (K.neg_role_assertion(l.args[1], l.args[0], l.args[2])
-                  if l.neg
-                  else K.role_assertion(l.args[1], l.args[0], l.args[2]))
-        else:
-            continue
-        (neg if l.neg else pos).append(ax)
+        ax = decode_output(l)
+        if ax is not None:
+            (neg if l.neg else pos).append(ax)
     if __debug__:
         candidates = set(K.ca_candidates(kb))
         assert all(ca in candidates for ca in chi)

@@ -24,28 +24,59 @@ import functools
 import importlib.resources
 import re
 from dataclasses import replace
+from typing import NamedTuple
 
 from . import kb as K
-from .program import Literal, Program, Rule, lit, neg, parse_asp_text
+from .program import Literal, Program, Rule, lit, parse_asp_text
 
 AUX_PREFIX = "aux_"
 
-# Tag constants used as the first argument of ovr atoms.
-OVR_TAG = {
-    K.CONCEPT_ASSERTION: "insta",
-    K.ROLE_ASSERTION: "triplea",
-    K.NEG_CONCEPT_ASSERTION: "ninsta",
-    K.NEG_ROLE_ASSERTION: "ntriplea",
-    K.SUBCLASS: "subClass",
-    K.SUPNOT: "supNot",
-    K.SUBEX: "subEx",
-    K.SUPEX: "supEx",
-    K.SUBROLE: "subRole",
-    K.DIS: "dis",
-    K.INV: "inv",
-    K.IRR: "irr",
+
+class _Encoding(NamedTuple):
+    """How axioms of one shape appear in the program.  A leading '-'
+    marks a strongly negated literal, as in rules/pk_schema.lp."""
+    strict: str        # input fact of a strict axiom
+    defeasible: str    # input fact of a defeasible axiom
+    tag: str           # first argument of the ovr atoms of its exceptions
+    output: str = ""   # derived literal that decides an assertion query
+
+
+_ENCODING = {
+    K.CONCEPT_ASSERTION: _Encoding("insta", "def_insta", "insta", "instd"),
+    K.ROLE_ASSERTION: _Encoding("triplea", "def_triplea", "triplea",
+                                "tripled"),
+    K.NEG_CONCEPT_ASSERTION: _Encoding("-insta", "def_ninsta", "ninsta",
+                                       "-instd"),
+    K.NEG_ROLE_ASSERTION: _Encoding("-triplea", "def_ntriplea", "ntriplea",
+                                    "-tripled"),
+    K.SUBCLASS: _Encoding("subClass", "def_subclass", "subClass"),
+    K.SUPNOT: _Encoding("supNot", "def_supnot", "supNot"),
+    K.SUBEX: _Encoding("subEx", "def_subex", "subEx"),
+    K.SUPEX: _Encoding("supEx", "def_supex", "supEx"),
+    K.SUBROLE: _Encoding("subRole", "def_subr", "subRole"),
+    K.DIS: _Encoding("dis", "def_dis", "dis"),
+    K.INV: _Encoding("inv", "def_inv", "inv"),
+    K.IRR: _Encoding("irr", "def_irr", "irr"),
 }
-_TAG_SHAPE = {v: k for k, v in OVR_TAG.items()}
+
+
+def _signed(pred: str) -> tuple[bool, str]:
+    """(strongly negated, predicate) of a possibly '-'-prefixed name."""
+    return pred.startswith("-"), pred.lstrip("-")
+
+
+_TAG_SHAPE = {e.tag: shape for shape, e in _ENCODING.items()}
+_OUTPUT_SHAPE = {_signed(e.output): shape
+                 for shape, e in _ENCODING.items() if e.output}
+
+
+def _swap(shape: str, args: tuple[str, ...]) -> tuple[str, ...]:
+    """An axiom's arguments in atom order, and back: assertion atoms put
+    the individual first (insta(a,A) for A(a), triplea(a,R,b) for
+    R(a,b)); other shapes keep their order.  Its own inverse."""
+    if shape not in K.ASSERTION_SHAPES:
+        return args
+    return args[1::-1] + args[2:]
 
 
 @functools.cache
@@ -80,32 +111,6 @@ def aux_constants(kb: K.DKB) -> list[str]:
     return [f"{prefix}{i}" for i in range(len(kb.supex_axioms()))]
 
 
-def _axiom_fact(ax: K.Axiom, defeasible: bool, aux: str | None) -> Literal:
-    s, a = ax.shape, ax.args
-    if s == K.CONCEPT_ASSERTION:
-        return lit("def_insta", a[1], a[0]) if defeasible else lit("insta", a[1], a[0])
-    if s == K.NEG_CONCEPT_ASSERTION:
-        return lit("def_ninsta", a[1], a[0]) if defeasible else neg("insta", a[1], a[0])
-    if s == K.ROLE_ASSERTION:
-        return lit("def_triplea", a[1], a[0], a[2]) if defeasible else lit("triplea", a[1], a[0], a[2])
-    if s == K.NEG_ROLE_ASSERTION:
-        return lit("def_ntriplea", a[1], a[0], a[2]) if defeasible else neg("triplea", a[1], a[0], a[2])
-    pred = {
-        K.SUBCLASS: "subclass", K.SUPNOT: "supnot", K.SUBEX: "subex",
-        K.SUPEX: "supex", K.SUBROLE: "subr", K.DIS: "dis", K.INV: "inv",
-        K.IRR: "irr",
-    }[s]
-    if defeasible:
-        pred = "def_" + pred
-    else:
-        pred = {"subclass": "subClass", "supnot": "supNot", "subex": "subEx",
-                "supex": "supEx", "subr": "subRole", "dis": "dis",
-                "inv": "inv", "irr": "irr"}[pred]
-    if s == K.SUPEX:
-        return lit(pred, a[0], a[1], aux)
-    return lit(pred, *a)
-
-
 def supporting_facts(constants: tuple[str, ...]) -> tuple[Literal, ...]:
     """const per constant plus the first/next/last chain over them."""
     if not constants:
@@ -131,9 +136,12 @@ def translate(kb: K.DKB) -> Program:
     next_aux = iter(aux)
     for defeasible, axioms in ((False, kb.strict), (True, kb.defeasible)):
         for ax in axioms:
-            facts.append(_axiom_fact(
-                ax, defeasible,
-                next(next_aux) if ax.shape == K.SUPEX else None))
+            e = _ENCODING[ax.shape]
+            args = _swap(ax.shape, ax.args)
+            if ax.shape == K.SUPEX:
+                args += (next(next_aux),)
+            pred = e.defeasible if defeasible else e.strict
+            facts.append(Literal(*_signed(pred), args))
     facts += supporting_facts(constants)
     facts = sorted(dict.fromkeys(facts), key=lambda l: (l.pred, l.neg, l.args))
     return Program(schema_rules(), tuple(facts), constants)
@@ -153,47 +161,35 @@ def output_atom(p: Program, query: K.Axiom) -> Literal:
     """The derived literal whose membership in every answer set decides
     the query.  Positive queries map onto instd/tripled; the negated
     assertion shapes map onto the strongly negated literals (extension)."""
+    if not query.is_assertion:
+        raise ValueError(f"not a ground assertion query: {query.text()}")
     concepts, roles, constants = _signature(p)
-    s, a = query.shape, query.args
-    if s in (K.CONCEPT_ASSERTION, K.NEG_CONCEPT_ASSERTION):
-        if a[0] not in concepts:
-            raise UnknownNameError(f"unknown concept {a[0]!r}")
-        if a[1] not in constants:
-            raise UnknownNameError(f"unknown individual {a[1]!r}")
-        atom = lit("instd", a[1], a[0])
-        return atom.complement() if s == K.NEG_CONCEPT_ASSERTION else atom
-    if s in (K.ROLE_ASSERTION, K.NEG_ROLE_ASSERTION):
-        if a[0] not in roles:
-            raise UnknownNameError(f"unknown role {a[0]!r}")
-        for ind in (a[1], a[2]):
-            if ind not in constants:
-                raise UnknownNameError(f"unknown individual {ind!r}")
-        atom = lit("tripled", a[1], a[0], a[2])
-        return atom.complement() if s == K.NEG_ROLE_ASSERTION else atom
-    raise ValueError(f"not a ground assertion query: {query.text()}")
+    known = {"concept": concepts, "role": roles, "individual": constants}
+    for name, sort in zip(query.args, K.SORTS[query.shape]):
+        if name not in known[sort]:
+            raise UnknownNameError(f"unknown {sort} {name!r}")
+    return Literal(*_signed(_ENCODING[query.shape].output),
+                   _swap(query.shape, query.args))
+
+
+def decode_output(atom: Literal) -> K.Axiom | None:
+    """The assertion an instd/tripled literal states, positive or
+    strongly negated: the inverse of output_atom.  None for any other
+    literal."""
+    shape = _OUTPUT_SHAPE.get((atom.neg, atom.pred))
+    return None if shape is None else K.Axiom(shape, _swap(shape, atom.args))
 
 
 def decode_ovr(atom: Literal) -> K.ClashingAssumption:
-    """Map a ground ovr atom back to the exception it records."""
-    if atom.pred != "ovr" or atom.neg:
+    """Map a ground ovr atom back to the exception it records: ovr(tag,
+    exception tuple, input-fact arguments).  Raises ValueError for any
+    other literal."""
+    shape = (_TAG_SHAPE.get(atom.args[0])
+             if atom.pred == "ovr" and not atom.neg and atom.args else None)
+    if shape is None:
         raise ValueError(f"not an ovr atom: {atom.text()}")
-    tag, rest = atom.args[0], atom.args[1:]
-    shape = _TAG_SHAPE[tag]
-    if shape == K.CONCEPT_ASSERTION:
-        return K.ClashingAssumption(K.concept_assertion(rest[1], rest[0]), ())
-    if shape == K.NEG_CONCEPT_ASSERTION:
-        return K.ClashingAssumption(K.neg_concept_assertion(rest[1], rest[0]), ())
-    if shape == K.ROLE_ASSERTION:
-        return K.ClashingAssumption(K.role_assertion(rest[1], rest[0], rest[2]), ())
-    if shape == K.NEG_ROLE_ASSERTION:
-        return K.ClashingAssumption(K.neg_role_assertion(rest[1], rest[0], rest[2]), ())
-    if shape in (K.SUBCLASS, K.SUPNOT):
-        return K.ClashingAssumption(K.Axiom(shape, (rest[1], rest[2])), (rest[0],))
-    if shape == K.SUBEX:
-        return K.ClashingAssumption(K.subex(rest[1], rest[2]), (rest[0],))
-    if shape == K.SUPEX:
-        return K.ClashingAssumption(K.supex(rest[1], rest[2]), (rest[0],))
-    if shape in (K.SUBROLE, K.DIS, K.INV):
-        return K.ClashingAssumption(K.Axiom(shape, (rest[2], rest[3])),
-                                    (rest[0], rest[1]))
-    return K.ClashingAssumption(K.irr(rest[1]), (rest[0],))
+    n = 1 + K.CA_ARITY[shape]
+    # The slice drops the aux constant that supEx facts carry last.
+    args = atom.args[n:n + len(K.SORTS[shape])]
+    return K.ClashingAssumption(K.Axiom(shape, _swap(shape, args)),
+                                atom.args[1:n])

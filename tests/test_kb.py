@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from corpus import EVERY_SHAPE
 from dkblite.kb import (
     CA_ARITY,
     DKB,
@@ -102,6 +103,12 @@ def test_axiom_text():
     assert irr("R").text() == "Irr(R)"
     ca = ClashingAssumption(supex("A", "R"), ("a",))
     assert ca.text() == "<A [= exists R, a>"
+
+
+def test_axiom_text_every_shape():
+    assert {ax.shape for ax, _ in EVERY_SHAPE} == set(CA_ARITY)
+    for ax, text in EVERY_SHAPE:
+        assert ax.text() == text
 
 
 def test_vocabulary_validation():

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+from corpus import every_shape_kb
 from dkblite import kb as K
 from dkblite import parser as P
 from dkblite.normalize import normalize
 from dkblite.oracle import oracle_answer
-from dkblite.parser import parse_dkb
+from dkblite.parser import parse_dkb, render_dkb
 
 
 def norm(text: str) -> K.DKB:
@@ -97,6 +98,12 @@ def test_idempotent():
     for text in texts:
         once = norm(text)
         assert normalize(once) == once
+
+
+def test_every_shape_round_trips_through_surface_text():
+    for strict, defeasible in ((True, False), (False, True), (True, True)):
+        kb = every_shape_kb(strict, defeasible)
+        assert normalize(parse_dkb(render_dkb(kb))) == kb
 
 
 def test_fresh_names_skip_taken_indices():

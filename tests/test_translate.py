@@ -6,13 +6,16 @@ import importlib.resources
 
 import pytest
 
+from corpus import EVERY_SHAPE, every_shape_kb
 from dkblite import kb as K
-from dkblite.kb import ClashingAssumption, DKB
+from dkblite.engine import answer_sets, ground
+from dkblite.kb import ClashingAssumption, DKB, ca_candidates
 from dkblite.program import Program, export_asp_text, lit, neg, parse_asp_text
 from dkblite.translate import (
     UnknownNameError,
     aux_constants,
     aux_prefix,
+    decode_output,
     decode_ovr,
     output_atom,
     schema_rules,
@@ -163,6 +166,36 @@ def test_decode_ovr_round_trip():
         ClashingAssumption(K.concept_assertion("A", "a"), ())
     with pytest.raises(ValueError):
         decode_ovr(lit("instd", "a", "A"))
+    with pytest.raises(ValueError):
+        decode_ovr(lit("ovr", "bogus", "a"))
+
+
+def test_ovr_universe_decodes_to_the_candidates_of_every_shape():
+    kb = every_shape_kb(strict=False, defeasible=True)
+    universe = ground(translate(kb)).ovr_universe
+    assert {decode_ovr(a) for a in universe} == set(ca_candidates(kb))
+    assert len(ca_candidates(kb)) == 26
+
+
+def test_output_atom_round_trip_every_shape(k_dept):
+    for strict in (True, False):
+        p = translate(every_shape_kb(strict, not strict))
+        for ax, _ in EVERY_SHAPE:
+            if ax.is_assertion:
+                assert decode_output(output_atom(p, ax)) == ax
+            else:
+                with pytest.raises(ValueError):
+                    output_atom(p, ax)
+        assert all(decode_output(f) is None for f in p.facts)
+    polarities = set()
+    p = translate(k_dept)
+    for m in answer_sets(ground(p)):
+        for l in m.literals:
+            ax = decode_output(l)
+            if ax is not None:
+                assert output_atom(p, ax) == l
+                polarities.add(l.neg)
+    assert polarities == {False, True}
 
 
 def test_translate_deterministic(k_dept):
