@@ -55,8 +55,8 @@ __all__ = [
     "answer_sets", "ground", "least_model", "reduct",
     "ParseError", "SurfaceAxiom", "SurfaceKB", "parse_dkb", "parse_query",
     "normalize",
-    "DEPTH_EXCEEDED", "ClashingSet", "DepthExceeded", "HerbrandModel",
-    "chase", "check_justified", "oracle_answer", "oracle_models",
+    "ClashingSet", "DepthExceeded", "HerbrandModel", "chase",
+    "check_justified", "oracle_answer", "oracle_models",
     "EntailmentResult", "JustifiedModelReport", "entails", "json_report",
     "justified_models", "satisfiable",
     "FlatKB", "Positive2CNF", "ar_entails_bruteforce",
@@ -68,8 +68,8 @@ __all__ = [
 # package does not load them.
 _LAZY = {
     **dict.fromkeys(
-        ("DEPTH_EXCEEDED", "ClashingSet", "DepthExceeded", "HerbrandModel",
-         "chase", "check_justified", "oracle_answer", "oracle_models"),
+        ("ClashingSet", "DepthExceeded", "HerbrandModel", "chase",
+         "check_justified", "oracle_answer", "oracle_models"),
         "oracle"),
     **dict.fromkeys(
         ("FlatKB", "Positive2CNF", "ar_entails_bruteforce",

@@ -13,19 +13,12 @@ import json
 import sys
 
 from . import kb as K
-from .engine import MAX_OVR, ResourceLimitError, answer_sets, ground
+from .engine import MAX_OVR, ResourceLimitError
 from .normalize import normalize
 from .parser import ParseError, parse_dkb, parse_query, render_dkb
 from .program import export_asp_text
-from .reasoner import (
-    decode_model,
-    entailment,
-    entails,
-    json_report,
-    justified_models,
-    satisfiable,
-)
-from .translate import UnknownNameError, output_atom, translate
+from .reasoner import entails, json_report, justified_models, satisfiable
+from .translate import UnknownNameError, translate
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -140,9 +133,7 @@ def _cmd_oracle_check(kb: K.DKB, args) -> int:
     # Imported here: no other command needs the oracle's code.
     from .oracle import DepthExceeded, oracle_models
 
-    p = translate(kb)
-    sets_ = answer_sets(ground(p), max_ovr=args.max_ovr)
-    reports = [decode_model(kb, m) for m in sets_]
+    reports = justified_models(kb, max_ovr=args.max_ovr)
     try:
         omodels = oracle_models(kb, depth_cap=args.depth_cap)
     except DepthExceeded as e:
@@ -167,8 +158,7 @@ def _cmd_oracle_check(kb: K.DKB, args) -> int:
     checked = 0
     for q in K.named_queries(kb):
         checked += 1
-        atom = output_atom(p, q)
-        pipe = entailment(sets_, atom).entailed
+        pipe = all(q in r.derived_positive for r in reports)
         orac = oracle_holds(q) if omodels else True
         if pipe != orac:
             disagreements.append(

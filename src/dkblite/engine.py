@@ -7,10 +7,10 @@ the facts, each newly possible atom triggers the rules with a matching
 body literal, and their other literals are joined against the atoms
 found so far; no instance ranges a variable over the constant pool.
 Default-negated literals whose atom no instance derives are dropped from
-rule bodies: they are vacuously true.  The ovr universe, which the
-max_ovr cap counts, is fixed by the facts alone: every ovr head over the
-join of its rule's extensional body literals (predicates defined by
-facts only), whether or not the rest of the body can hold.
+rule bodies: they are vacuously true.  The assumption universe, which
+the max_ovr cap counts, is the program's declared candidates (as with
+clingo's #external; translate declares the exception candidates) plus
+every default-negated atom of a ground rule.
 
 Rule safety (every head and default-negated variable occurs in the
 positive body) is checked once per rule, when its join plan is compiled.
@@ -20,9 +20,8 @@ instance is then variable-free, so ground rules are not checked again.
 Answer sets are found by the reduct definition directly: guess which
 default-negated atoms are assumed true, compute the least model of the
 reduct, and keep the guess when the model reproduces it exactly.  The
-search space is the set of default-negated atoms, which for compiled
-knowledge bases is the ovr universe; guesses outside the least model of
-the negation-free over-approximation cannot be reproduced and are
+search space is the assumption universe; guesses outside the least model
+of the negation-free over-approximation cannot be reproduced and are
 skipped.  Strongly negated literals are interned as atoms of their own,
 with consistency enforced the moment a complementary pair is derived.
 
@@ -74,8 +73,8 @@ MAX_OVR = 20
 @dataclass(frozen=True)
 class GroundProgram:
     """Variable-free program: rules (facts as empty-body rules), the
-    interned atom table, and the ovr universe: the exception candidates
-    ground() finds plus every ovr atom in a head or NAF body.
+    interned atom table, and the assumption universe (ovr_universe): the
+    program's declared candidates plus every atom in a NAF body.
 
     Not checked for variables: ground() checks each rule's safety when
     it compiles the rule, and translated facts are made of KB names."""
@@ -95,22 +94,21 @@ class AnswerSet:
 
 
 def make_ground_program(rules: Iterable[Rule],
-                        ovr_candidates: Iterable[Literal] = ()
+                        candidates: Iterable[Literal] = ()
                         ) -> GroundProgram:
     """Assemble a GroundProgram from ground rules, computing the atom
-    table and ovr universe; ovr_candidates join both even where no rule
-    mentions them.  Used by ground() and by test fixtures."""
+    table and the assumption universe: the candidates, which join the
+    atom table even where no rule mentions them, plus every NAF atom.
+    Used by ground() and by test fixtures."""
     rules = tuple(rules)
-    ovr: set[Literal] = set(ovr_candidates)
-    atoms: set[Literal] = set(ovr)
+    universe = set(candidates)
+    atoms = set(universe)
     for r in rules:
         atoms.add(r.head)
         atoms.update(r.body)
-        atoms.update(r.naf)
-        if r.head.pred == "ovr":
-            ovr.add(r.head)
-        ovr.update(l for l in r.naf if l.pred == "ovr")
-    return GroundProgram(rules, tuple(sorted(atoms)), tuple(sorted(ovr)))
+        universe.update(r.naf)
+    atoms |= universe
+    return GroundProgram(rules, tuple(sorted(atoms)), tuple(sorted(universe)))
 
 
 # (pred, neg): the key that sorts predicates into extensional (facts
@@ -162,9 +160,6 @@ class _Plans(NamedTuple):
     triggers: dict[AtomKey, tuple[tuple[int, _Step, tuple[_Step, ...]], ...]]
     # rules with no intensional body literal: (rule id, steps)
     upfront: tuple[tuple[int, tuple[_Step, ...]], ...]
-    # ovr-headed rules: (rule id, steps over the extensional literals,
-    # head slots those leave unbound, whether any variable is left)
-    ovr: tuple[tuple[int, tuple[_Step, ...], tuple[int, ...], bool], ...]
 
 
 def _atom_key(l: Literal) -> AtomKey:
@@ -213,7 +208,7 @@ def _join_order(body: tuple[Literal, ...], todo: Iterable[int],
 def _compile(rules: tuple[Rule, ...]) -> _Plans:
     head_keys = frozenset((r.head.pred, r.head.neg) for r in rules)
     index_ids: dict[tuple[AtomKey, tuple[int, ...]], int] = {}
-    plans, upfront, ovr = [], [], []
+    plans, upfront = [], []
     triggers: dict[AtomKey, list] = {}
     for rid, r in enumerate(rules):
         body_vars = {t for l in r.body for t in l.args if is_var(t)}
@@ -250,21 +245,13 @@ def _compile(rules: tuple[Rule, ...]) -> _Plans:
                                bound, head_keys, slot, index_ids)
             triggers.setdefault(_atom_key(r.body[i]), []).append(
                 (rid, trigger, rest))
-        if r.head.pred == "ovr":
-            bound = set()
-            edb = _join_order(r.body, (j for j, k in enumerate(keys)
-                                       if k not in head_keys),
-                              bound, head_keys, slot, index_ids)
-            free = {t for t in slot if is_var(t)} - bound
-            ovr.append((rid, edb, tuple(slot[t] for t in dict.fromkeys(
-                r.head.args) if t in free), bool(free)))
     key_indexes: dict[AtomKey, list] = {}
     for (key, positions), idx in index_ids.items():
         key_indexes.setdefault(key, []).append((idx, positions))
     return _Plans(tuple(plans), head_keys, len(index_ids),
                   {k: tuple(v) for k, v in key_indexes.items()},
                   {k: tuple(v) for k, v in triggers.items()},
-                  tuple(upfront), tuple(ovr))
+                  tuple(upfront))
 
 
 # Plans by rule tuple, for the few tuples in use (translated programs all
@@ -364,11 +351,9 @@ def ground(p: Program) -> GroundProgram:
     with an extensional body predicate (never a rule head) that has no
     facts is skipped outright.
 
-    ovr_universe is the heads of the ovr-headed rules over the join of
-    their extensional body literals alone, any other head variable
-    ranging over p.constants: the exception candidates, whether or not
-    their other body literals can hold.  They are in the atom table too.
-    Raises ValueError when a rule of p is unsafe.
+    The assumption universe is p.candidates plus the instances' NAF
+    atoms: a hand-built program lists its own candidates.  Raises
+    ValueError when a rule of p is unsafe.
     """
     plans = _plans(p.rules)
     facts = dict.fromkeys(p.facts)
@@ -413,23 +398,7 @@ def ground(p: Program) -> GroundProgram:
             gr = Rule(gr.head, gr.body,
                       tuple(l for l in gr.naf if l in seen), name=gr.name)
         trimmed.append(gr)
-
-    candidates = []
-    for rid, steps, free_head, any_free in plans.ovr:
-        if not live[rid] or (any_free and not p.constants):
-            continue
-        rp = plans.rules[rid]
-        hneg, hpred, hslots = rp.head
-        vals = list(rp.init)
-        for _ in _solutions(steps, vals, [None] * len(rp.rule.body),
-                            indexes):
-            for combo in itertools.product(p.constants,
-                                           repeat=len(free_head)):
-                for s, c in zip(free_head, combo):
-                    vals[s] = c
-                candidates.append(
-                    Literal(hneg, hpred, tuple([vals[s] for s in hslots])))
-    return make_ground_program(trimmed, candidates)
+    return make_ground_program(trimmed, p.candidates)
 
 
 def reduct(gp: GroundProgram, i: Iterable[Literal]) -> GroundProgram:
@@ -511,13 +480,6 @@ def least_model(gp: GroundProgram) -> LeastModelResult:
     return out if out is INCONSISTENT else solver.decode(out)
 
 
-def _assumption_universe(gp: GroundProgram) -> tuple[Literal, ...]:
-    u = set(gp.ovr_universe)
-    for r in gp.rules:
-        u.update(r.naf)
-    return tuple(sorted(u))
-
-
 class ModelSearch:
     """The answer sets of one ground program, as sets of solver atom ids,
     from the largest guess to the smallest.
@@ -540,7 +502,7 @@ class ModelSearch:
 
     def __init__(self, gp: GroundProgram, max_ovr: int = MAX_OVR) -> None:
         self.solver = _Solver(gp)
-        self.universe = _assumption_universe(gp)
+        self.universe = gp.ovr_universe
         self.max_ovr = max_ovr
         self.certain: set[int] = set()
 

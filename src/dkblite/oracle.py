@@ -35,21 +35,8 @@ from .engine import INCONSISTENT
 Atom = tuple[str, tuple[str, ...]]  # predicate name, argument tuple
 
 
-class _Tag:
-    __slots__ = ("_name",)
-
-    def __init__(self, name: str):
-        self._name = name
-
-    def __repr__(self) -> str:
-        return self._name
-
-
-DEPTH_EXCEEDED = _Tag("DEPTH_EXCEEDED")
-
-
 class DepthExceeded(Exception):
-    """Raised by enumeration when some chi's chase exceeds the depth cap."""
+    """Raised when the chase under some chi exceeds the depth cap."""
 
     def __init__(self, chi: frozenset[K.ClashingAssumption]):
         super().__init__(f"chase depth cap exceeded under {sorted(chi)}")
@@ -128,7 +115,8 @@ def _depth(term: str) -> int:
 def _chase_positives(kb: K.DKB, chi: frozenset[K.ClashingAssumption],
                      depth_cap: int):
     """Forward-chain the positive consequences; returns (universe,
-    positives, skolems) or DEPTH_EXCEEDED."""
+    positives, skolems).  Raises DepthExceeded when Skolem terms would
+    nest beyond depth_cap."""
 
     def blocked(ax: K.Axiom, defeasible: bool, subject: tuple[str, ...]) -> bool:
         if not defeasible:
@@ -190,7 +178,7 @@ def _chase_positives(kb: K.DKB, chi: frozenset[K.ClashingAssumption],
                 if (role, (subject, term)) in positives:
                     continue
                 if _depth(term) > depth_cap:
-                    return DEPTH_EXCEEDED
+                    raise DepthExceeded(chi)
                 if term not in skolems:
                     skolems[term] = i
                     universe.append(term)
@@ -305,12 +293,9 @@ def _tag_names(kb: K.DKB) -> list[str]:
 
 
 def _chase_full(kb: K.DKB, chi: frozenset[K.ClashingAssumption],
-                depth_cap: int) -> _Chase | _Tag:
+                depth_cap: int) -> _Chase:
     kb = kb.dedup()
-    out = _chase_positives(kb, chi, depth_cap)
-    if out is DEPTH_EXCEEDED:
-        return DEPTH_EXCEEDED
-    universe, positives, skolems = out
+    universe, positives, skolems = _chase_positives(kb, chi, depth_cap)
     named = set(kb.vocabulary.individuals)
 
     tag_of = _tag_names(kb)
@@ -340,11 +325,9 @@ def _expand_negatives(ch: _Chase) -> frozenset[Atom]:
 
 def chase(kb: K.DKB, chi: frozenset[K.ClashingAssumption] = frozenset(),
           depth_cap: int = 3):
-    """Least model with exceptions chi: HerbrandModel, or INCONSISTENT,
-    or DEPTH_EXCEEDED when Skolem terms would nest beyond depth_cap."""
+    """Least model with exceptions chi: HerbrandModel, or INCONSISTENT.
+    Raises DepthExceeded when Skolem terms would nest beyond depth_cap."""
     ch = _chase_full(kb, chi, depth_cap)
-    if ch is DEPTH_EXCEEDED:
-        return DEPTH_EXCEEDED
     if not ch.consistent:
         return INCONSISTENT
     return _to_model(ch)
@@ -428,14 +411,15 @@ def check_justified(kb: K.DKB, chi: frozenset[K.ClashingAssumption],
         -> tuple[bool, ClashingSet | None]:
     """Whether ca is a justified exception under chi: the chase model
     must entail a clashing set for it.  Precondition: ca in chi and the
-    chase under chi is consistent and within depth."""
+    chase under chi is consistent; raises DepthExceeded when it exceeds
+    depth_cap."""
     if ca not in chi:
         raise ValueError(f"{ca.text()} is not in chi")
     if ca not in set(K.ca_candidates(kb)):
         raise ValueError(f"{ca.text()} is not a candidate of this KB")
     ch = _chase_full(kb, chi, depth_cap)
-    if ch is DEPTH_EXCEEDED or not ch.consistent:
-        raise ValueError("chase under chi must be consistent and in depth")
+    if not ch.consistent:
+        raise ValueError("chase under chi must be consistent")
     return _justified(ch, ca)
 
 
@@ -458,8 +442,6 @@ def oracle_models(kb: K.DKB, depth_cap: int = 3) \
         for combo in itertools.combinations(candidates, k):
             chi = frozenset(combo)
             ch = _chase_full(kb, chi, depth_cap)
-            if ch is DEPTH_EXCEEDED:
-                raise DepthExceeded(chi)
             if not ch.consistent:
                 continue
             if all(_justified(ch, ca)[0] for ca in chi):
@@ -506,7 +488,6 @@ def oracle_answer(kb: K.DKB, query: K.Axiom, depth_cap: int = 3) -> bool:
         tags = _tag_names(kb)
         for chi, _model in models:
             ch = _chase_full(kb, chi, depth_cap)
-            assert isinstance(ch, _Chase)
             args = tuple(t if _aux_index(kb, t) is None
                          else tags[_aux_index(kb, t)]
                          for t in query.args[1:])

@@ -339,16 +339,22 @@ class _Registry:
         table.setdefault(tok.value, tok)
 
     def check_disjoint(self) -> None:
+        """Report the name used in two sorts whose token comes first in
+        the document, so the diagnostic does not depend on set order."""
+        clashes = []
         for a, b, what in (("concepts", "roles", "a concept and a role"),
                            ("concepts", "individuals",
                             "a concept and an individual"),
                            ("roles", "individuals",
                             "a role and an individual")):
-            for name in getattr(self, a).keys() & getattr(self, b).keys():
-                tok = getattr(self, b)[name]
-                raise ParseError(tok.line, tok.column,
-                                 f"{name!r} is used as both {what}",
-                                 kind="unknown-construct")
+            table = getattr(self, b)
+            for name in getattr(self, a).keys() & table.keys():
+                tok = table[name]
+                clashes.append((tok.line, tok.column, name, what))
+        if clashes:
+            line, column, name, what = min(clashes)
+            raise ParseError(line, column, f"{name!r} is used as both {what}",
+                             kind="unknown-construct")
 
 
 def _register_statement(st, reg: _Registry) -> None:

@@ -61,11 +61,13 @@ class Program:
     """Rules plus ground facts plus the ordered constant pool.
 
     `constants` lists named individuals first, then auxiliary constants;
-    the successor-chain facts follow this order.
+    the successor-chain facts follow this order.  `candidates` are atoms
+    a model search may assume even where no rule negates them.
     """
     rules: tuple[Rule, ...] = ()
     facts: tuple[Literal, ...] = ()
     constants: tuple[str, ...] = ()
+    candidates: tuple[Literal, ...] = ()
 
 
 _PLAIN = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
@@ -90,7 +92,8 @@ def _rule_text(r: Rule) -> str:
 
 def export_asp_text(p: Program) -> str:
     """Deterministic text form: constants header, sorted facts, rules in
-    program order.  Reparsing the output reproduces the Program."""
+    program order.  Reparsing the output reproduces the Program, but
+    for its candidates."""
     lines: list[str] = []
     if p.constants:
         lines.append("% constants: " + " ".join(p.constants))

@@ -13,14 +13,12 @@ from dataclasses import dataclass
 
 from . import kb as K
 from .engine import MAX_OVR, AnswerSet, ModelSearch, answer_sets, ground
-from .program import Literal
 from .translate import decode_output, decode_ovr, output_atom, translate
 
 __all__ = [
     "EntailmentResult",
     "JustifiedModelReport",
     "satisfiable",
-    "entailment",
     "entails",
     "decode_model",
     "justified_models",
@@ -57,15 +55,6 @@ def satisfiable(kb: K.DKB, max_ovr: int = MAX_OVR) -> bool:
     return next(iter(search), None) is not None
 
 
-def entailment(models: list[AnswerSet], atom: Literal) -> EntailmentResult:
-    """Whether the atom holds in every one of the answer sets; vacuously
-    true, and marked unsat, when there are none."""
-    if not models:
-        return EntailmentResult(entailed=True, unsat=True)
-    return EntailmentResult(
-        entailed=all(atom in m.literals for m in models), unsat=False)
-
-
 def entails(kb: K.DKB, query: K.Axiom,
             max_ovr: int = MAX_OVR) -> EntailmentResult:
     """True iff the query's output atom holds in every answer set.
@@ -79,8 +68,8 @@ def entails(kb: K.DKB, query: K.Axiom,
     The search stops at the first answer set that settles the query:
     one that lacks the atom, or the first one when the atom is in the
     search's certain part, which every answer set contains.  The result,
-    and when ResourceLimitError is raised, are those of entailment() over
-    every answer set."""
+    and when ResourceLimitError is raised, are those of checking the
+    atom in every answer set."""
     p = translate(kb)
     atom = output_atom(p, query)
     search = ModelSearch(ground(p), max_ovr)

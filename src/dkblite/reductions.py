@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from . import kb as K
 from .engine import ResourceLimitError
-from .oracle import DEPTH_EXCEEDED, DepthExceeded, HerbrandModel, chase
+from .oracle import HerbrandModel, chase
 
 __all__ = [
     "FlatKB",
@@ -120,10 +120,7 @@ def _chase_strict(tbox, abox, sig):
     individuals, concepts, roles = sig
     kb = K.DKB.from_axioms(strict=tbox + abox, individuals=individuals,
                            concepts=concepts, roles=roles)
-    result = chase(kb, frozenset(), depth_cap=REPAIR_DEPTH_CAP)
-    if result is DEPTH_EXCEEDED:
-        raise DepthExceeded(frozenset())
-    return result
+    return chase(kb, frozenset(), depth_cap=REPAIR_DEPTH_CAP)
 
 
 def ar_entails_bruteforce(k: FlatKB, query: K.Axiom) -> bool:

@@ -15,7 +15,8 @@ numbering follows axiom order, strict before defeasible.
 Default negation appears exclusively on the ovr predicate, and only in
 application rules.  Overriding rules carry a nom(x) guard on their
 exception-subject variables so that exceptions range over named
-individuals only.
+individuals only.  The program declares one ovr atom per exception
+candidate, the atoms the model search may assume.
 """
 
 from __future__ import annotations
@@ -125,7 +126,8 @@ def supporting_facts(constants: tuple[str, ...]) -> tuple[Literal, ...]:
 
 def translate(kb: K.DKB) -> Program:
     """Compile the knowledge base: schema rules, one input fact per axiom,
-    signature facts, and the supporting constant chain."""
+    signature facts, and the supporting constant chain; its candidates
+    are the ovr atoms of kb.ca_candidates, in order (see decode_ovr)."""
     kb = kb.dedup()
     aux = aux_constants(kb)
     constants = kb.vocabulary.individuals + tuple(aux)
@@ -134,17 +136,24 @@ def translate(kb: K.DKB) -> Program:
     facts += [lit("cls", c) for c in kb.vocabulary.concepts]
     facts += [lit("rol", r) for r in kb.vocabulary.roles]
     next_aux = iter(aux)
+    fact_args: dict[K.Axiom, tuple[str, ...]] = {}  # of defeasible axioms
     for defeasible, axioms in ((False, kb.strict), (True, kb.defeasible)):
         for ax in axioms:
             e = _ENCODING[ax.shape]
             args = _swap(ax.shape, ax.args)
             if ax.shape == K.SUPEX:
                 args += (next(next_aux),)
+            if defeasible:
+                fact_args[ax] = args
             pred = e.defeasible if defeasible else e.strict
             facts.append(Literal(*_signed(pred), args))
     facts += supporting_facts(constants)
     facts = sorted(dict.fromkeys(facts), key=lambda l: (l.pred, l.neg, l.args))
-    return Program(schema_rules(), tuple(facts), constants)
+    candidates = tuple(
+        lit("ovr", _ENCODING[ca.axiom.shape].tag, *ca.args,
+            *fact_args[ca.axiom])
+        for ca in K.ca_candidates(kb))
+    return Program(schema_rules(), tuple(facts), constants, candidates)
 
 
 class UnknownNameError(ValueError):

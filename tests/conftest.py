@@ -24,10 +24,21 @@ from dkblite.kb import (
     supex,
     supnot,
 )
+from dkblite.reasoner import EntailmentResult
 
 DATA = pathlib.Path(__file__).parent / "data"
 
 DEPT_DEFAULT = supex("DeptMember", "hasCourse")
+
+
+def entailment(models, atom) -> EntailmentResult:
+    """Reference for entails(): enumerate every answer set, then check
+    that the atom holds in each; vacuously true, and marked unsat, when
+    there are none."""
+    if not models:
+        return EntailmentResult(entailed=True, unsat=True)
+    return EntailmentResult(
+        entailed=all(atom in m.literals for m in models), unsat=False)
 
 
 def build_k_dept() -> DKB:

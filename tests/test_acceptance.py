@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from conftest import entailment
 from corpus import (
     corpus_kbs,
     flat_aboxes,
@@ -28,12 +29,7 @@ from dkblite import kb as K
 from dkblite.cli import EXIT_OK, main
 from dkblite.engine import answer_sets, ground
 from dkblite.oracle import oracle_answer, oracle_models
-from dkblite.reasoner import (
-    entailment,
-    entails,
-    justified_models,
-    satisfiable,
-)
+from dkblite.reasoner import entails, justified_models, satisfiable
 from dkblite.reductions import (
     FlatKB,
     Positive2CNF,

@@ -373,3 +373,41 @@ def test_repeated_runs_are_byte_identical(capsys, dept_path):
     ):
         first = run(capsys, *argv)
         assert run(capsys, *argv) == first
+
+
+def test_runs_under_different_hash_seeds_are_byte_identical(
+        dept_path, tmp_path):
+    # Set iteration order depends on PYTHONHASHSEED, so only separate
+    # interpreters can show output that depends on it.  The clash
+    # document uses four names as both a role and an individual.
+    clash = tmp_path / "clash.dkb"
+    clash.write_text("individual R. individual S. individual T. "
+                     "individual U. R(a,b). S(a,b). T(a,b). U(a,b).\n")
+    argvs = [[command, str(path), *extra]
+             for path in (dept_path, clash)
+             for command, extra in (
+                 ("check-sat", ()), ("models", ()),
+                 ("models", ("--format", "json")),
+                 ("entail", ("--query", "DeptMember(bob)")),
+                 ("translate", ()), ("normalize", ()),
+                 ("oracle-check", ()))]
+    script = (
+        "import contextlib, io, sys\n"
+        "from dkblite.cli import main\n"
+        f"for argv in {argvs!r}:\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), "
+        "contextlib.redirect_stderr(err):\n"
+        "        code = main(argv)\n"
+        "    print(repr((argv, code, out.getvalue(), err.getvalue())))\n")
+    src = pathlib.Path(dkblite.__file__).parent.parent
+    outputs = []
+    for seed in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed),
+            timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert "'R' is used as both a role and an individual" in outputs[0]

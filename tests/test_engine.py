@@ -15,7 +15,6 @@ from dkblite.engine import (
     INCONSISTENT,
     GroundProgram,
     ResourceLimitError,
-    _assumption_universe,
     answer_sets,
     ground,
     iter_answer_sets,
@@ -120,7 +119,7 @@ def test_ground_recurses_along_the_constant_chain():
 
 def test_ground_repeated_variable_matches_loops_only():
     # ovr_irr's tripled(X,R,X) takes a's and b's loops, not the a->b or
-    # c->a edges; the ovr universe still has every (nom, def_irr) pair.
+    # c->a edges.
     p = Program(
         schema_named("dl_triple", "ovr_irr"),
         (lit("def_irr", "r"), lit("nom", "a"), lit("nom", "b"),
@@ -133,8 +132,6 @@ def test_ground_repeated_variable_matches_loops_only():
     assert [r.head for r in instances] == [
         lit("ovr", "irr", "a", "r"), lit("ovr", "irr", "b", "r")]
     assert lit("tripled", "a", "r", "a") in instances[0].body
-    assert gp.ovr_universe == tuple(
-        lit("ovr", "irr", x, "r") for x in ("a", "b", "c"))
 
 
 def test_ground_matches_constants_in_body_patterns():
@@ -518,7 +515,6 @@ def test_ground_agrees_with_reference_grounder():
         p = translate(kb)
         new, ref = ground(p), reference_ground(p)
         assert new.ovr_universe == ref.ovr_universe
-        assert _assumption_universe(new) == _assumption_universe(ref)
         assert _search(new) == _search(ref)
         ref_rules = {(r.name, r.head, r.body) for r in ref.rules}
         assert all((r.name, r.head, r.body) in ref_rules for r in new.rules)

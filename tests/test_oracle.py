@@ -7,7 +7,6 @@ import pytest
 from dkblite import kb as K
 from dkblite.engine import INCONSISTENT
 from dkblite.oracle import (
-    DEPTH_EXCEEDED,
     NEG_EXISTS,
     POS_EXISTS,
     DepthExceeded,
@@ -63,7 +62,9 @@ def test_chase_depth_cap_on_cyclic_existentials():
         K.subex("S", "A"),
         K.concept_assertion("A", "a"),
     ))
-    assert chase(kb, depth_cap=3) is DEPTH_EXCEEDED
+    with pytest.raises(DepthExceeded) as exc:
+        chase(kb, depth_cap=3)
+    assert exc.value.chi == frozenset()
     with pytest.raises(DepthExceeded) as exc:
         oracle_models(kb)
     assert exc.value.chi == frozenset()

@@ -1,5 +1,6 @@
 """End-to-end reasoning interface."""
 
+import itertools
 import json
 
 import pytest
@@ -12,7 +13,6 @@ from dkblite.oracle import oracle_answer, oracle_models
 from dkblite.parser import parse_dkb
 from dkblite.reasoner import (
     EntailmentResult,
-    entailment,
     entails,
     json_report,
     justified_models,
@@ -20,7 +20,7 @@ from dkblite.reasoner import (
 )
 from dkblite.translate import output_atom, translate
 
-from conftest import DEPT_DEFAULT, dis_kb, nixon_kb, subrole_kb
+from conftest import DEPT_DEFAULT, dis_kb, entailment, nixon_kb, subrole_kb
 from corpus import (
     corpus_kbs,
     dept_kb,
@@ -291,3 +291,56 @@ def test_json_report_dept(k_dept):
 def test_json_report_unsatisfiable():
     report = json_report(unsat_kb())
     assert report == {"satisfiable": False, "unsat_flag": True, "models": []}
+
+
+# --- closed forms beyond the oracle's reach ---
+
+
+def _universe_size(kb: K.DKB) -> int:
+    return len(engine.ModelSearch(ground(translate(kb))).universe)
+
+
+@pytest.mark.parametrize("n, s", [(2 * s, s) for s in range(1, 10)]
+                         + [(320, 2)])
+def test_dept_has_one_model_overriding_each_student(n, s):
+    # dept(n, s) has exactly one justified model: the hasCourse default
+    # is overridden at each student, and a course is entailed exactly at
+    # the professors.  The oracle cannot check s > 8 in reasonable time.
+    kb = dept_kb(n, s)
+    inds = kb.vocabulary.individuals
+    students = {e for e in inds
+                if K.concept_assertion("PhDStudent", e) in kb.strict}
+    assert len(students) == s
+    assert _universe_size(kb) == len(K.ca_candidates(kb)) == n
+    (r,) = justified_models(kb, max_ovr=n)
+    assert r.chi == tuple(K.ClashingAssumption(DEPT_DEFAULT, (e,))
+                          for e in inds if e in students)
+    for e in inds:
+        course = K.role_assertion("hasCourse", e, "aux_0")
+        assert (course in r.derived_positive) == (e not in students)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_nixon_has_a_model_per_choice_of_default(k):
+    # Nixon(k): each individual overrides exactly one of its two
+    # defaults, independently, so the 2^k models are the product of
+    # those choices.  Quaker(p_i) holds in all; Pacifist(p_i) and
+    # -Pacifist(p_i) in only some.
+    kb = normalize(parse_dkb(nixon_text(k)))
+    pacifist = K.subclass("Quaker", "Pacifist")
+    hawk = K.supnot("Republican", "Pacifist")
+    inds = [f"p{i}" for i in range(k)]
+    assert _universe_size(kb) == len(K.ca_candidates(kb)) == 2 * k
+    reports = justified_models(kb)
+    assert {frozenset(r.chi) for r in reports} == {
+        frozenset(K.ClashingAssumption(ax, (e,))
+                  for ax, e in zip(choice, inds))
+        for choice in itertools.product((pacifist, hawk), repeat=k)}
+    assert len(reports) == 2 ** k
+    for e in inds:
+        assert all(K.concept_assertion("Quaker", e) in r.derived_positive
+                   for r in reports)
+        assert not all(K.concept_assertion("Pacifist", e)
+                       in r.derived_positive for r in reports)
+        assert not all(K.neg_concept_assertion("Pacifist", e)
+                       in r.derived_negative for r in reports)

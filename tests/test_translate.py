@@ -6,7 +6,13 @@ import importlib.resources
 
 import pytest
 
-from corpus import EVERY_SHAPE, every_shape_kb
+from corpus import (
+    EVERY_SHAPE,
+    corpus_kbs,
+    dept_kb,
+    every_shape_kb,
+    flat_sample,
+)
 from dkblite import kb as K
 from dkblite.engine import answer_sets, ground
 from dkblite.kb import ClashingAssumption, DKB, ca_candidates
@@ -171,10 +177,37 @@ def test_decode_ovr_round_trip():
 
 
 def test_ovr_universe_decodes_to_the_candidates_of_every_shape():
-    kb = every_shape_kb(strict=False, defeasible=True)
-    universe = ground(translate(kb)).ovr_universe
-    assert {decode_ovr(a) for a in universe} == set(ca_candidates(kb))
-    assert len(ca_candidates(kb)) == 26
+    # translate declares one ovr atom per exception candidate, in
+    # ca_candidates order, and ground() takes exactly those as the
+    # assumption universe: every app_* NAF atom is one of them.
+    assert len(ca_candidates(every_shape_kb(False, True))) == 26
+    kbs = corpus_kbs(240, 1806) + flat_sample()
+    kbs += [dept_kb(2 * s, s) for s in range(1, 9)]
+    kbs += [every_shape_kb(strict, defeasible)
+            for strict, defeasible in ((True, False), (False, True),
+                                       (True, True))]
+    for kb in kbs:
+        p = translate(kb)
+        assert [decode_ovr(a) for a in p.candidates] == \
+            list(ca_candidates(kb))
+        assert ground(p).ovr_universe == tuple(sorted(set(p.candidates)))
+    assert len(kbs) == 240 + 510 + 8 + 3
+
+
+def test_candidates_include_exceptions_no_rule_derives():
+    # Irr(r) is defeasible at every named individual, whether or not an
+    # r-loop there could clash with it: only a and b have one.
+    kb = DKB.from_axioms(
+        strict=(K.role_assertion("r", "a", "a"),
+                K.role_assertion("r", "a", "b"),
+                K.role_assertion("r", "b", "b"),
+                K.role_assertion("r", "c", "a")),
+        defeasible=(K.irr("r"),))
+    gp = ground(translate(kb))
+    assert [r.head for r in gp.rules if r.name == "ovr_irr"] == [
+        lit("ovr", "irr", "a", "r"), lit("ovr", "irr", "b", "r")]
+    assert gp.ovr_universe == tuple(
+        lit("ovr", "irr", x, "r") for x in ("a", "b", "c"))
 
 
 def test_output_atom_round_trip_every_shape(k_dept):
