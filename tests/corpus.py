@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 from dkblite import kb as K
 from dkblite.engine import INCONSISTENT
@@ -362,3 +363,84 @@ def scale_kb_text() -> str:
     lines += [f"{ax.text()}." for ax in kb.strict]
     lines += [f"D({ax.text()})." for ax in kb.defeasible]
     return "\n".join(lines) + "\n"
+
+
+# --- surface-syntax fuzzing ---
+
+_FUZZ_NAMES = ("A", "B", "C", "D", "R", "S", "a", "b", "c", "Bob", "exists",
+               "concept", "role", "individual", "Dis", "Inv", "Irr", "Ref")
+_FUZZ_PUNCT = ("(", ")", ",", ".", "-", "[=", "^-")
+_FUZZ_ODD = ("$", "_x", "% note\n", "\n", "#")
+_FUZZ_FORMS = (
+    "{C}({a})", "-{C}({a})", "{R}({a},{b})", "-{R}({a},{b})",
+    "exists {R}{i}({a})", "-exists {R}{i}({a})",
+    "{C} [= {C}", "{C}{i} [= -{C}", "{C}{i} [= exists {R}{i}",
+    "{C} [= -exists {R}{i}", "exists {R}{i} [= {C}", "{R}{i} [= {R}{i}",
+    "Dis({R}{i},{R}{i})", "Inv({R}{i},{R}{i})", "Irr({R}{i})",
+    "concept {C}", "role {R}", "individual {a}",
+)
+
+
+def _fuzz_token(rng: random.Random) -> str:
+    pool = rng.choice((_FUZZ_NAMES, _FUZZ_NAMES, _FUZZ_PUNCT, _FUZZ_PUNCT,
+                       _FUZZ_ODD))
+    return rng.choice(pool)
+
+
+def _fuzz_statement(rng: random.Random) -> str:
+    """One well-formed statement, possibly D(...)-wrapped, names drawn
+    so that sort clashes and case-convention errors happen too."""
+    form = rng.choice(_FUZZ_FORMS)
+    text = form
+    for slot, names in (("{C}", ("A", "B", "C", "D", "R", "a")),
+                        ("{R}", ("R", "S", "A")),
+                        ("{a}", ("a", "b", "c", "Bob", "A"))):
+        while slot in text:
+            text = text.replace(slot, rng.choice(names), 1)
+    text = text.replace("{b}", rng.choice(("a", "b", "c")))
+    while "{i}" in text:
+        text = text.replace("{i}", rng.choice(("", "", "^-")), 1)
+    while rng.random() < 0.2 and not form.startswith(_DECL_FORMS):
+        text = f"D({text})"
+    return text + "."
+
+
+_DECL_FORMS = ("concept", "role", "individual")
+
+
+def _fuzz_mutate(rng: random.Random, statement: str) -> str:
+    toks = re.findall(r"\[=|\^-|[A-Za-z_]\w*|\S", statement)
+    for _ in range(rng.randint(1, 2)):
+        op = rng.randrange(4)
+        i = rng.randrange(len(toks) + (op == 0))
+        if op == 0:
+            toks.insert(i, _fuzz_token(rng))
+        elif len(toks) > 1 and op == 1:
+            del toks[i]
+        elif op == 2:
+            toks[i] = _fuzz_token(rng)
+        elif i + 1 < len(toks):
+            toks[i], toks[i + 1] = toks[i + 1], toks[i]
+    return " ".join(toks)
+
+
+def surface_fuzz_docs(n: int, seed: int) -> list[str]:
+    """n seeded surface documents of one to four pieces each: a random
+    token run, a well-formed statement, or one with a token inserted,
+    deleted, replaced or swapped.  Most are rejected; the accepted ones
+    cover every statement form, with and without D(...)."""
+    rng = random.Random(seed)
+    docs = []
+    for _ in range(n):
+        pieces = []
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.random()
+            if kind < 0.15:
+                pieces.append(" ".join(_fuzz_token(rng)
+                                       for _ in range(rng.randint(1, 6))))
+            elif kind < 0.7:
+                pieces.append(_fuzz_statement(rng))
+            else:
+                pieces.append(_fuzz_mutate(rng, _fuzz_statement(rng)))
+        docs.append(rng.choice((" ", "\n")).join(pieces))
+    return docs

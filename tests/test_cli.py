@@ -125,6 +125,12 @@ def test_entail_rejects_undeclared_names(capsys, dept_path):
     assert err.startswith("--query:")
 
 
+def test_malformed_query_reports_its_position(capsys, dept_path):
+    assert run(capsys, "entail", dept_path, "--query", "A(a") == (
+        EXIT_USAGE, "",
+        "--query:1:4: syntax: expected ')', found 'end of input'\n")
+
+
 def test_negated_queries_are_gated(capsys, dept_path):
     code, _, err = run(capsys, "entail", dept_path,
                        "--query=-hasCourse(bob,aux_0)")
@@ -262,6 +268,16 @@ def test_models_text_without_exceptions(capsys, tmp_path):
     assert "model 1: chi = (none)" in out.splitlines()
 
 
+def test_models_text_names_an_assertion_exception(capsys, tmp_path):
+    # An exception to a defeasible assertion has no individual tuple.
+    p = tmp_path / "assertion.dkb"
+    p.write_text("A [= -B. A(a). D(B(a)).\n")
+    assert run(capsys, "models", p) == (
+        EXIT_OK,
+        "satisfiable (1 model)\nmodel 1: chi = <B(a)>\n"
+        "  + A(a)\n  - B(a)\n", "")
+
+
 def test_models_unsatisfiable(capsys, unsat_path):
     code, out, _ = run(capsys, "models", unsat_path)
     assert (code, out) == (EXIT_NO, "unsatisfiable\n")
@@ -327,6 +343,25 @@ def test_oracle_check_json(capsys, dept_path):
     data = json.loads(out)
     assert data == {"agree": True, "models": 1, "queries_checked": 12,
                     "disagreements": []}
+
+
+def test_oracle_check_reports_disagreements(capsys, dept_path, monkeypatch):
+    # A pipeline that finds no model disagrees with the oracle on
+    # satisfiability, on the chi sets and on every query the oracle
+    # does not entail.
+    monkeypatch.setattr("dkblite.cli.justified_models",
+                        lambda kb, max_ovr: [])
+    code, out, _ = run(capsys, "oracle-check", dept_path)
+    lines = out.splitlines()
+    assert code == EXIT_NO
+    assert lines[0] == "disagree (9 findings):"
+    assert lines[1] == "  satisfiability: pipeline=False oracle=True"
+    assert "  query Professor(bob): pipeline=True oracle=False" in lines
+    code, out, _ = run(capsys, "oracle-check", dept_path, "--format", "json")
+    data = json.loads(out)
+    assert code == EXIT_NO
+    assert (data["agree"], data["models"], len(data["disagreements"])) == (
+        False, 0, 9)
 
 
 def test_oracle_check_depth_cap_is_a_resource_limit(capsys, tmp_path):

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
+from corpus import surface_fuzz_docs
 from dkblite import kb as K
+from dkblite.normalize import normalize
 from dkblite.parser import (
     EXISTS_ASSERTION,
     NEG_EXISTS_ASSERTION,
@@ -170,3 +175,152 @@ def test_parse_query_forms():
         parse_query("A [= B")
     with pytest.raises(ParseError):
         parse_query("A(a) junk")
+
+
+# Every diagnostic the parser emits, pinned byte for byte: the input and
+# its (line, column, kind, message).
+_U = "unknown-construct"
+_DIAGNOSTICS = [
+    # tokens
+    ("$", (1, 1, "syntax", "unexpected character '$'")),
+    ("A(a).\n  _x(a).", (2, 3, "syntax",
+                          "'_x': names starting with '_' are reserved")),
+    # statement starts
+    ("A B.", (1, 1, "syntax", "expected an axiom, found 'A'")),
+    ("concept.", (1, 1, "syntax", "expected an axiom, found 'concept'")),
+    ("A(a). ).", (1, 7, "syntax", "expected an axiom, found ')'")),
+    ("A(a). -", (1, 8, "syntax", "expected a name, found 'end of input'")),
+    ("exists", (1, 7, "syntax",
+                "expected a role name, found 'end of input'")),
+    ("Ref(R).", (1, 1, "reflexivity-rejected",
+                 "reflexivity axioms are not supported")),
+    ("D(D(A [= B)).", (1, 3, _U, "nested D(...) wrapper")),
+    ("D(D(a)", (1, 7, "syntax", "expected ')', found 'end of input'")),
+    # terminators and argument lists
+    ("A(a) B.", (1, 6, "syntax", "expected '.', found 'B'")),
+    ("concept A", (1, 10, "syntax", "expected '.', found 'end of input'")),
+    ("-A.", (1, 3, "syntax", "expected '(', found '.'")),
+    ("A(a,b,c).", (1, 6, "syntax", "expected ')', found ','")),
+    ("A(,a).", (1, 3, "syntax", "expected an individual, found ','")),
+    ("exists R(a,b).", (1, 11, "syntax", "expected ')', found ','")),
+    ("-R^-(a,b).", (1, 3, "syntax", "expected '(', found '^-'")),
+    ("R^-(a,b).", (1, 4, "syntax", "expected '[=', found '('")),
+    ("exists R.", (1, 9, "syntax", "expected '[=', found '.'")),
+    ("Dis(R).", (1, 6, "syntax", "expected ',', found ')'")),
+    ("Irr(R S).", (1, 7, "syntax", "expected ')', found 'S'")),
+    ("Inv(R,).", (1, 7, "syntax", "expected a role name, found ')'")),
+    # inclusion sides
+    ("A [= .", (1, 6, "syntax", "expected a name, found '.'")),
+    ("A [= exists .", (1, 13, "syntax", "expected a role name, found '.'")),
+    ("-exists R [= B.", (1, 2, _U,
+                         "negated existential cannot start an inclusion")),
+    ("-exists R.", (1, 2, _U,
+                    "negated existential cannot start an inclusion")),
+    ("exists R [= -B.", (1, 1, _U, "an existential left side takes an "
+                                   "atomic right side only")),
+    ("exists R [= B^-.", (1, 1, _U, "an existential left side takes an "
+                                    "atomic right side only")),
+    ("A [= -B^-.", (1, 7, _U, "a negated right side must be atomic")),
+    ("exists R [= -B^-.", (1, 14, _U,
+                           "a negated right side must be atomic")),
+    ("R^- [= -B.", (1, 1, _U, "a role inclusion takes a role right side")),
+    ("A. R^- [= exists S.", (1, 1, "syntax", "expected an axiom, found 'A'")),
+    ("A(a). R^- [= exists S.", (1, 7, _U,
+                                "a role inclusion takes a role right side")),
+    # sorts
+    ("a [= B.", (1, 1, _U, "'a': concepts are uppercase-initial "
+                           "(or declare it with 'concept')")),
+    ("A(Bob).", (1, 3, _U, "'Bob': individuals are lowercase-initial "
+                           "(or declare it with 'individual')")),
+    ("R(a,b). R [= S.", (1, 14, _U, "'S': inclusion mixes a role with a "
+                                    "concept (declare 'role S.' if a role "
+                                    "inclusion was intended)")),
+    ("R(a,b). A [= R.", (1, 9, _U, "'A': inclusion mixes a role with a "
+                                   "concept (declare 'role A.' if a role "
+                                   "inclusion was intended)")),
+    ("R(a,b). R(a).", (1, 9, _U,
+                       "'R' is used as both a concept and a role")),
+    ("concept R. R(a,b).", (1, 12, _U,
+                            "'R' is used as both a concept and a role")),
+    ("concept a. A(a).", (1, 14, _U,
+                          "'a' is used as both a concept and an individual")),
+    ("role a. A(a).", (1, 11, _U,
+                       "'a' is used as both a role and an individual")),
+    ("A(a). R(A,b). individual A.", (1, 26, _U, "'A' is used as both a "
+                                                "concept and an individual")),
+]
+
+
+@pytest.mark.parametrize("text, expected", _DIAGNOSTICS)
+def test_every_diagnostic_is_pinned(text, expected):
+    e = err(text)
+    assert (e.line, e.column, e.kind, e.message) == expected
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("", (1, 1, "syntax",
+          "expected a concept or role name, found 'end of input'")),
+    ("A", (1, 2, "syntax", "expected '(', found 'end of input'")),
+    ("exists R(a)", (1, 8, "syntax", "expected '(', found 'R'")),
+    ("A(a) x", (1, 6, "syntax", "trailing input 'x'")),
+    ("A(a", (1, 4, "syntax", "expected ')', found 'end of input'")),
+    ("-R(a,b,c)", (1, 7, "syntax", "expected ')', found ','")),
+    ("A(a).\n.", (2, 1, "syntax", "trailing input '.'")),
+    ("A(#)", (1, 3, "syntax", "unexpected character '#'")),
+])
+def test_every_query_diagnostic_is_pinned(text, expected):
+    with pytest.raises(ParseError) as ei:
+        parse_query(text)
+    e = ei.value
+    assert (e.line, e.column, e.kind, e.message) == expected
+
+
+def test_accepted_corner_forms():
+    # `exists` is always the existential keyword; D(...) wraps only an
+    # axiom; an inverse marker makes a bare inclusion a role inclusion.
+    kb = parse_dkb("D(D(a)). exists R^-(a). -exists S^-(a). "
+                   "A [= B^-. R^- [= S. E [= -exists R^-. exists S^- [= C.")
+    assert kb.axioms == (
+        SurfaceAxiom(K.CONCEPT_ASSERTION, ("D", "a"), True),
+        SurfaceAxiom(EXISTS_ASSERTION, ("R^-", "a")),
+        SurfaceAxiom(NEG_EXISTS_ASSERTION, ("S^-", "a")),
+        SurfaceAxiom(K.SUBROLE, ("A", "B^-")),
+        SurfaceAxiom(K.SUBROLE, ("R^-", "S")),
+        SurfaceAxiom(NEG_SUPEX, ("E", "R^-")),
+        SurfaceAxiom(K.SUBEX, ("S^-", "C")),
+    )
+    assert kb.concepts == ("C", "D", "E")
+    assert kb.roles == ("A", "B", "R", "S")
+
+
+def _diagnostic(e: ParseError) -> list:
+    return [e.line, e.column, e.kind, e.message]
+
+
+def test_fuzzed_documents_parse_or_raise_parse_error_only():
+    # Any other exception fails the test; the digest pins every accepted
+    # KB, every parsed query and every diagnostic.
+    outcomes = []
+    accepted = queries = 0
+    for text in surface_fuzz_docs(5000, 17):
+        try:
+            kb = parse_dkb(text)
+        except ParseError as e:
+            outcomes.append(_diagnostic(e))
+        else:
+            normalize(kb)
+            accepted += 1
+            outcomes.append([[ax.shape, ax.args, ax.defeasible]
+                             for ax in kb.axioms]
+                            + [kb.concepts, kb.roles, kb.individuals])
+        try:
+            q = parse_query(text)
+        except ParseError as e:
+            outcomes.append(_diagnostic(e))
+        else:
+            queries += 1
+            outcomes.append([q.shape, q.args])
+    assert (accepted, queries) == (854, 187)
+    digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+    assert digest == (
+        "0d2837433724abbf49f6e9dffd5dfad2de32be492be61a41fd9415b6992487d1")
