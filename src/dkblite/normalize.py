@@ -11,6 +11,9 @@ defeasibility marker:
                         ->  fresh role _Rj with Inv(R,_Rj), _Rj used in place
     R^-(a,b) / -R^-(a,b) ->  R(b,a) / -R(b,a)
 
+The parser rejects `R^-(a,b)`, so the last rewrite applies only to a
+SurfaceKB built in code.
+
 Helper names are shared: two axioms needing the same helper for the same
 role reuse it.  Normal-form axioms pass through unchanged, so the
 rewriting is idempotent.

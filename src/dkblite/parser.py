@@ -11,7 +11,10 @@ is otherwise insignificant.  Statement forms:
     Dis(R,S).  Inv(R,S).  Irr(R).
     D( <any axiom above> ).                      (defeasible)
 
-`R^-` may stand in any role position and denotes the inverse of R.
+`R^-`, the inverse of R, may follow the role of an existential, either
+side of a role inclusion and each role of Dis, Inv and Irr; a role
+assertion takes none (`R^-(a,b)` is rejected).  D(...) wraps only an
+axiom: `D(a)` and `D(a,b)` assert a predicate named D.
 Names are auto-registered by use: an uppercase-initial name in a concept
 position is a concept, any name in a role position is a role, and a
 lowercase-initial argument is an individual; declarations override the
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import kb as K
 
@@ -49,17 +53,6 @@ class SurfaceAxiom:
     args: tuple[str, ...]
     defeasible: bool = False
 
-    def text(self) -> str:
-        d = lambda s: f"D({s})" if self.defeasible else s
-        a = self.args
-        if self.shape == NEG_SUPEX:
-            return d(f"{a[0]} [= -exists {a[1]}")
-        if self.shape == EXISTS_ASSERTION:
-            return d(f"exists {a[0]}({a[1]})")
-        if self.shape == NEG_EXISTS_ASSERTION:
-            return d(f"-exists {a[0]}({a[1]})")
-        return d(K.Axiom(self.shape, a).text())
-
 
 @dataclass(frozen=True)
 class SurfaceKB:
@@ -79,8 +72,7 @@ class ParseError(Exception):
         self.kind = kind  # syntax | unknown-construct | reflexivity-rejected
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str  # name, incl, inv, lp, rp, comma, dot, minus, eof
     value: str
     line: int
@@ -118,34 +110,41 @@ def _tokenize(text: str) -> list[_Tok]:
     return toks
 
 
+def _expected(what: str, t: _Tok) -> ParseError:
+    shown = t.value if t.kind != "eof" else "end of input"
+    return ParseError(t.line, t.column, f"expected {what}, found {shown!r}")
+
+
 # Untyped statement forms produced by the grammar pass; name resolution
 # into SurfaceAxioms happens once the whole document has been read.
-@dataclass
-class _Assertion:
+class _Term(NamedTuple):
+    """`[-] [exists] name [^-]`: an inclusion side, predicate or role."""
+
     neg: bool
     exists: bool
-    pred: _Tok            # concept or role name (exists: always role)
-    role_inv: bool
+    name: _Tok
+    inv: bool = False
+
+
+class _Assertion(NamedTuple):
+    pred: _Term           # exists: a role; otherwise the arity decides
     args: list[_Tok]
     defeasible: bool = False
 
 
-@dataclass
-class _Inclusion:
-    lhs: tuple            # ("name", tok) | ("ex", tok, inv)
-    rhs: tuple            # ("name", tok) | ("negname", tok) | ("ex", tok, inv) | ("negex", tok, inv)
+class _Inclusion(NamedTuple):
+    lhs: _Term
+    rhs: _Term
     defeasible: bool = False
 
 
-@dataclass
-class _RoleAxiom:
+class _RoleAxiom(NamedTuple):
     shape: str
-    roles: list[tuple[_Tok, bool]]
+    roles: list[_Term]
     defeasible: bool = False
 
 
-@dataclass
-class _Decl:
+class _Decl(NamedTuple):
     sort: str
     name: _Tok
 
@@ -161,11 +160,16 @@ class _Parser:
     def take(self, kind: str, what: str | None = None) -> _Tok:
         t = self.toks[self.pos]
         if t.kind != kind:
-            shown = t.value if t.kind != "eof" else "end of input"
-            raise ParseError(t.line, t.column,
-                             f"expected {what or kind}, found {shown!r}")
+            raise _expected(what or kind, t)
         self.pos += 1
         return t
+
+    def accept(self, kind: str) -> bool:
+        """Consume the next token if it is of this kind."""
+        if self.toks[self.pos].kind != kind:
+            return False
+        self.pos += 1
+        return True
 
     def statements(self) -> list:
         out = []
@@ -178,20 +182,11 @@ class _Parser:
         if t.kind == "name" and t.value in _DECL_KEYWORDS \
                 and self.peek(1).kind == "name":
             self.pos += 1
-            name = self.take("name", "a name")
-            self.take("dot", "'.'")
-            return _Decl(t.value, name)
-        ax = self.axiom(allow_defeasible=True)
+            st = _Decl(t.value, self.take("name", "a name"))
+        else:
+            st = self.axiom(allow_defeasible=True)
         self.take("dot", "'.'")
-        return ax
-
-    def _role(self) -> tuple[_Tok, bool]:
-        name = self.take("name", "a role name")
-        inv = False
-        if self.peek().kind == "inv":
-            self.pos += 1
-            inv = True
-        return name, inv
+        return st
 
     def axiom(self, allow_defeasible: bool):
         t = self.peek()
@@ -203,8 +198,7 @@ class _Parser:
             self.pos += 2
             inner = self.axiom(allow_defeasible=False)
             self.take("rp", "')'")
-            inner.defeasible = True
-            return inner
+            return inner._replace(defeasible=True)
         if t.kind == "name" and t.value == "Ref" and self.peek(1).kind == "lp":
             raise ParseError(t.line, t.column,
                              "reflexivity axioms are not supported",
@@ -212,36 +206,72 @@ class _Parser:
         if t.kind == "name" and t.value in _ROLE_AXIOMS \
                 and self.peek(1).kind == "lp":
             return self._role_axiom(t.value)
-        if t.kind == "minus" or (t.kind == "name" and t.value == "exists"):
-            return self._neg_or_exists_start()
-        if t.kind == "name":
-            if self.peek(1).kind == "lp":
-                return self._plain_assertion(neg=False)
-            if self.peek(1).kind in ("incl", "inv"):
-                return self._inclusion_from_name()
-        shown = t.value if t.kind != "eof" else "end of input"
-        raise ParseError(t.line, t.column, f"expected an axiom, found {shown!r}")
+        # Any other axiom opens with a term: '-', `exists`, or a name
+        # before '(', '[=' or '^-'.
+        if t.kind != "minus" and t.value != "exists" and not (
+                t.kind == "name"
+                and self.peek(1).kind in ("lp", "incl", "inv")):
+            raise _expected("an axiom", t)
+        keyword = self.peek(1) if t.kind == "minus" else t  # of `exists`
+        lhs = self._term()
+        if not lhs.exists and (lhs.neg or self.peek().kind == "lp"):
+            return _Assertion(lhs, self._args(pair=True))
+        lhs = lhs._replace(inv=self.accept("inv"))
+        if lhs.exists and self.peek().kind == "lp":
+            return _Assertion(lhs, self._args(pair=False))
+        if lhs.neg:
+            raise ParseError(keyword.line, keyword.column,
+                             "negated existential cannot start an inclusion",
+                             kind="unknown-construct")
+        self.take("incl", "'[='")
+        rhs = self._rhs()
+        if lhs.exists and (rhs.neg or rhs.exists or rhs.inv):
+            raise ParseError(keyword.line, keyword.column,
+                             "an existential left side takes an atomic "
+                             "right side only", kind="unknown-construct")
+        return _Inclusion(lhs, rhs)
 
     def _wraps_axiom(self) -> bool:
         """D( ... ) is a defeasible wrapper unless the parentheses hold a
-        bare argument list, in which case D is an ordinary predicate."""
-        depth = 0
-        i = self.pos + 1
-        while i < len(self.toks):
-            t = self.toks[i]
-            if t.kind == "lp":
-                depth += 1
-            elif t.kind == "rp":
-                depth -= 1
-                if depth == 0:
-                    break
-            elif depth == 1 and t.kind not in ("name", "comma"):
-                return True
-            elif depth == 1 and t.kind == "name" and t.value == "exists":
-                return True
+        bare argument list, in which case D is an ordinary predicate.  The
+        first token that is neither a comma nor a name other than `exists`
+        decides: only ')' closes an argument list."""
+        i = self.pos + 2
+        while self.toks[i].kind in ("name", "comma") \
+                and self.toks[i].value != "exists":
             i += 1
-        inner = self.toks[self.pos + 2:i]
-        return not all(t.kind in ("name", "comma") for t in inner)
+        return self.toks[i].kind != "rp"
+
+    def _term(self) -> _Term:
+        """`[-] [exists] name`; the caller reads any `^-` after it."""
+        neg = self.accept("minus")
+        exists = self.peek().value == "exists"
+        if exists:
+            self.pos += 1
+        name = self.take("name", "a role name" if exists else "a name")
+        return _Term(neg, exists, name)
+
+    def _rhs(self) -> _Term:
+        rhs = self._term()
+        rhs = rhs._replace(inv=self.accept("inv"))
+        if rhs.neg and rhs.inv and not rhs.exists:
+            raise ParseError(rhs.name.line, rhs.name.column,
+                             "a negated right side must be atomic",
+                             kind="unknown-construct")
+        return rhs
+
+    def _args(self, pair: bool) -> list[_Tok]:
+        """`( a )`, or also `( a, b )` when `pair` is set."""
+        self.take("lp", "'('")
+        args = [self.take("name", "an individual")]
+        if pair and self.accept("comma"):
+            args.append(self.take("name", "an individual"))
+        self.take("rp", "')'")
+        return args
+
+    def _role(self) -> _Term:
+        return _Term(False, False, self.take("name", "a role name"),
+                     self.accept("inv"))
 
     def _role_axiom(self, head: str):
         shape = _ROLE_AXIOMS[head]
@@ -253,79 +283,6 @@ class _Parser:
             roles.append(self._role())
         self.take("rp", "')'")
         return _RoleAxiom(shape, roles)
-
-    def _neg_or_exists_start(self):
-        neg = False
-        if self.peek().kind == "minus":
-            self.pos += 1
-            neg = True
-        t = self.peek()
-        if t.kind == "name" and t.value == "exists":
-            self.pos += 1
-            role, inv = self._role()
-            if self.peek().kind == "lp":
-                self.pos += 1
-                arg = self.take("name", "an individual")
-                self.take("rp", "')'")
-                return _Assertion(neg, True, role, inv, [arg])
-            if neg:
-                raise ParseError(t.line, t.column,
-                                 "negated existential cannot start an inclusion",
-                                 kind="unknown-construct")
-            self.take("incl", "'[='")
-            rhs = self._rhs()
-            if rhs[0] != "name":
-                raise ParseError(t.line, t.column,
-                                 "an existential left side takes an atomic "
-                                 "right side only", kind="unknown-construct")
-            return _Inclusion(("ex", role, inv), rhs)
-        if not neg:
-            raise ParseError(t.line, t.column, "expected an axiom")
-        return self._plain_assertion(neg=True)
-
-    def _plain_assertion(self, neg: bool):
-        pred = self.take("name", "a name")
-        self.take("lp", "'('")
-        args = [self.take("name", "an individual")]
-        if self.peek().kind == "comma":
-            self.pos += 1
-            args.append(self.take("name", "an individual"))
-        self.take("rp", "')'")
-        return _Assertion(neg, False, pred, False, args)
-
-    def _inclusion_from_name(self):
-        name = self.take("name", "a name")
-        inv = False
-        if self.peek().kind == "inv":
-            self.pos += 1
-            inv = True
-        self.take("incl", "'[='")
-        rhs = self._rhs()
-        return _Inclusion(("name", name) if not inv else ("rname", name, True),
-                          rhs)
-
-    def _rhs(self) -> tuple:
-        neg = False
-        if self.peek().kind == "minus":
-            self.pos += 1
-            neg = True
-        t = self.peek()
-        if t.kind == "name" and t.value == "exists":
-            self.pos += 1
-            role, inv = self._role()
-            return ("negex", role, inv) if neg else ("ex", role, inv)
-        name = self.take("name", "a name")
-        inv = False
-        if self.peek().kind == "inv":
-            self.pos += 1
-            inv = True
-        if inv:
-            if neg:
-                raise ParseError(t.line, t.column,
-                                 "a negated right side must be atomic",
-                                 kind="unknown-construct")
-            return ("rname", name, True)
-        return ("negname", name) if neg else ("name", name)
 
 
 @dataclass
@@ -361,23 +318,23 @@ def _register_statement(st, reg: _Registry) -> None:
     if isinstance(st, _Decl):
         reg.add(st.sort + "s", st.name)
     elif isinstance(st, _RoleAxiom):
-        for tok, _ in st.roles:
-            reg.add("roles", tok)
+        for role in st.roles:
+            reg.add("roles", role.name)
     elif isinstance(st, _Assertion):
-        if st.exists or len(st.args) == 2:
-            reg.add("roles", st.pred)
+        if st.pred.exists or len(st.args) == 2:
+            reg.add("roles", st.pred.name)
         for arg in st.args:
             _register_individual(arg, reg)
     elif isinstance(st, _Inclusion):
         for side in (st.lhs, st.rhs):
-            if side[0] in ("ex", "negex", "rname"):
-                reg.add("roles", side[1])
+            if side.exists or side.inv:
+                reg.add("roles", side.name)
 
 
 def _register_individual(tok: _Tok, reg: _Registry) -> None:
     if tok.value in reg.individuals:
         return
-    if tok.value[0].isupper() and tok.value not in reg.individuals:
+    if tok.value[0].isupper():
         raise ParseError(tok.line, tok.column,
                          f"{tok.value!r}: individuals are lowercase-initial "
                          "(or declare it with 'individual')",
@@ -401,79 +358,75 @@ def _concept_name(tok: _Tok, reg: _Registry) -> str:
     return tok.value
 
 
-def _role_term(tok: _Tok, inverted: bool, reg: _Registry) -> str:
-    reg.add("roles", tok)
-    return tok.value + "^-" if inverted else tok.value
+def _role_term(term: _Term, reg: _Registry) -> str:
+    reg.add("roles", term.name)
+    return term.name.value + "^-" if term.inv else term.name.value
+
+
+def _assertion_shape(neg: bool, arity: int) -> str:
+    if arity == 2:
+        return K.NEG_ROLE_ASSERTION if neg else K.ROLE_ASSERTION
+    return K.NEG_CONCEPT_ASSERTION if neg else K.CONCEPT_ASSERTION
 
 
 def _resolve(st, reg: _Registry) -> SurfaceAxiom:
     if isinstance(st, _Assertion):
-        if st.exists:
-            role = _role_term(st.pred, st.role_inv, reg)
-            shape = NEG_EXISTS_ASSERTION if st.neg else EXISTS_ASSERTION
-            return SurfaceAxiom(shape, (role, st.args[0].value), st.defeasible)
-        if len(st.args) == 2:
-            role = _role_term(st.pred, False, reg)
-            shape = K.NEG_ROLE_ASSERTION if st.neg else K.ROLE_ASSERTION
-            return SurfaceAxiom(
-                shape, (role, st.args[0].value, st.args[1].value),
-                st.defeasible)
-        concept = _concept_name(st.pred, reg)
-        shape = K.NEG_CONCEPT_ASSERTION if st.neg else K.CONCEPT_ASSERTION
-        return SurfaceAxiom(shape, (concept, st.args[0].value), st.defeasible)
+        pred = st.pred
+        args = tuple(a.value for a in st.args)
+        if pred.exists:
+            shape = NEG_EXISTS_ASSERTION if pred.neg else EXISTS_ASSERTION
+            name = _role_term(pred, reg)
+        else:
+            shape = _assertion_shape(pred.neg, len(args))
+            if len(args) == 2:
+                name = _role_term(pred, reg)
+            else:
+                name = _concept_name(pred.name, reg)
+        return SurfaceAxiom(shape, (name,) + args, st.defeasible)
     if isinstance(st, _RoleAxiom):
-        roles = tuple(_role_term(t, i, reg) for t, i in st.roles)
+        roles = tuple(_role_term(role, reg) for role in st.roles)
         return SurfaceAxiom(st.shape, roles, st.defeasible)
     return _resolve_inclusion(st, reg)
 
 
 def _resolve_inclusion(st: _Inclusion, reg: _Registry) -> SurfaceAxiom:
     lhs, rhs = st.lhs, st.rhs
-    # A bare name [= bare name statement is a role inclusion only when
-    # both names are known as roles.
-    if lhs[0] == "name" and rhs[0] == "name":
-        ln, rn = lhs[1], rhs[1]
-        l_role, r_role = ln.value in reg.roles, rn.value in reg.roles
-        if l_role and r_role:
-            return SurfaceAxiom(K.SUBROLE, (ln.value, rn.value), st.defeasible)
-        if l_role or r_role:
-            tok = rn if l_role else ln
-            raise ParseError(tok.line, tok.column,
-                             f"{tok.value!r}: inclusion mixes a role with a "
-                             f"concept (declare 'role {tok.value}.' if a role "
-                             "inclusion was intended)",
-                             kind="unknown-construct")
-        return SurfaceAxiom(K.SUBCLASS,
-                            (_concept_name(ln, reg), _concept_name(rn, reg)),
+    if lhs.exists:
+        return SurfaceAxiom(K.SUBEX, (_role_term(lhs, reg),
+                                      _concept_name(rhs.name, reg)),
                             st.defeasible)
-    if lhs[0] == "rname" or (lhs[0] == "name" and rhs[0] == "rname"):
+    if lhs.inv or (rhs.inv and not rhs.exists):
         # An inverse marker forces the role reading on both sides.
-        l_tok, l_inv = (lhs[1], True) if lhs[0] == "rname" else (lhs[1], False)
-        if rhs[0] == "rname":
-            r_tok, r_inv = rhs[1], True
-        elif rhs[0] == "name":
-            r_tok, r_inv = rhs[1], False
-        else:
-            raise ParseError(lhs[1].line, lhs[1].column,
+        if rhs.neg or rhs.exists:
+            raise ParseError(lhs.name.line, lhs.name.column,
                              "a role inclusion takes a role right side",
                              kind="unknown-construct")
-        return SurfaceAxiom(K.SUBROLE,
-                            (_role_term(l_tok, l_inv, reg),
-                             _role_term(r_tok, r_inv, reg)), st.defeasible)
-    if lhs[0] == "ex":
-        role = _role_term(lhs[1], lhs[2], reg)
-        return SurfaceAxiom(K.SUBEX, (role, _concept_name(rhs[1], reg)),
+        return SurfaceAxiom(K.SUBROLE, (_role_term(lhs, reg),
+                                        _role_term(rhs, reg)), st.defeasible)
+    if rhs.exists:
+        shape = NEG_SUPEX if rhs.neg else K.SUPEX
+        return SurfaceAxiom(shape, (_concept_name(lhs.name, reg),
+                                    _role_term(rhs, reg)), st.defeasible)
+    if rhs.neg:
+        return SurfaceAxiom(K.SUPNOT, (_concept_name(lhs.name, reg),
+                                       _concept_name(rhs.name, reg)),
                             st.defeasible)
-    concept = _concept_name(lhs[1], reg)
-    if rhs[0] == "name":
-        return SurfaceAxiom(K.SUBCLASS, (concept, _concept_name(rhs[1], reg)),
-                            st.defeasible)
-    if rhs[0] == "negname":
-        return SurfaceAxiom(K.SUPNOT, (concept, _concept_name(rhs[1], reg)),
-                            st.defeasible)
-    role = _role_term(rhs[1], rhs[2], reg)
-    shape = K.SUPEX if rhs[0] == "ex" else NEG_SUPEX
-    return SurfaceAxiom(shape, (concept, role), st.defeasible)
+    # A bare name [= bare name statement is a role inclusion only when
+    # both names are known as roles.
+    ln, rn = lhs.name, rhs.name
+    l_role, r_role = ln.value in reg.roles, rn.value in reg.roles
+    if l_role and r_role:
+        return SurfaceAxiom(K.SUBROLE, (ln.value, rn.value), st.defeasible)
+    if l_role or r_role:
+        tok = rn if l_role else ln
+        raise ParseError(tok.line, tok.column,
+                         f"{tok.value!r}: inclusion mixes a role with a "
+                         f"concept (declare 'role {tok.value}.' if a role "
+                         "inclusion was intended)",
+                         kind="unknown-construct")
+    return SurfaceAxiom(K.SUBCLASS,
+                        (_concept_name(ln, reg), _concept_name(rn, reg)),
+                        st.defeasible)
 
 
 def parse_dkb(text: str) -> SurfaceKB:
@@ -511,26 +464,12 @@ def render_dkb(kb: K.DKB) -> str:
 
 def parse_query(text: str) -> K.Axiom:
     """Parse a ground assertion query: A(a), R(a,b), or their negations."""
-    toks = _tokenize(text)
-    p = _Parser(toks)
-    neg = False
-    if p.peek().kind == "minus":
-        p.pos += 1
-        neg = True
+    p = _Parser(_tokenize(text))
+    neg = p.accept("minus")
     pred = p.take("name", "a concept or role name")
-    p.take("lp", "'('")
-    args = [p.take("name", "an individual")]
-    if p.peek().kind == "comma":
-        p.pos += 1
-        args.append(p.take("name", "an individual"))
-    p.take("rp", "')'")
-    if p.peek().kind == "dot":
-        p.pos += 1
+    args = tuple(a.value for a in p._args(pair=True))
+    p.accept("dot")
     t = p.peek()
     if t.kind != "eof":
         raise ParseError(t.line, t.column, f"trailing input {t.value!r}")
-    if len(args) == 2:
-        shape = K.NEG_ROLE_ASSERTION if neg else K.ROLE_ASSERTION
-        return K.Axiom(shape, (pred.value, args[0].value, args[1].value))
-    shape = K.NEG_CONCEPT_ASSERTION if neg else K.CONCEPT_ASSERTION
-    return K.Axiom(shape, (pred.value, args[0].value))
+    return K.Axiom(_assertion_shape(neg, len(args)), (pred.value,) + args)

@@ -379,6 +379,7 @@ _FUZZ_FORMS = (
     "Dis({R}{i},{R}{i})", "Inv({R}{i},{R}{i})", "Irr({R}{i})",
     "concept {C}", "role {R}", "individual {a}",
 )
+_DECL_FORMS = ("concept", "role", "individual")
 
 
 def _fuzz_token(rng: random.Random) -> str:
@@ -403,9 +404,6 @@ def _fuzz_statement(rng: random.Random) -> str:
     while rng.random() < 0.2 and not form.startswith(_DECL_FORMS):
         text = f"D({text})"
     return text + "."
-
-
-_DECL_FORMS = ("concept", "role", "individual")
 
 
 def _fuzz_mutate(rng: random.Random, statement: str) -> str:

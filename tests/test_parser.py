@@ -195,6 +195,8 @@ _DIAGNOSTICS = [
     ("Ref(R).", (1, 1, "reflexivity-rejected",
                  "reflexivity axioms are not supported")),
     ("D(D(A [= B)).", (1, 3, _U, "nested D(...) wrapper")),
+    ("D(exists).", (1, 9, "syntax", "expected a role name, found ')'")),
+    ("D(a, exists).", (1, 3, "syntax", "expected an axiom, found 'a'")),
     ("D(D(a)", (1, 7, "syntax", "expected ')', found 'end of input'")),
     # terminators and argument lists
     ("A(a) B.", (1, 6, "syntax", "expected '.', found 'B'")),
@@ -220,6 +222,8 @@ _DIAGNOSTICS = [
                                    "atomic right side only")),
     ("exists R [= B^-.", (1, 1, _U, "an existential left side takes an "
                                     "atomic right side only")),
+    ("exists R [= exists S.", (1, 1, _U, "an existential left side takes "
+                                         "an atomic right side only")),
     ("A [= -B^-.", (1, 7, _U, "a negated right side must be atomic")),
     ("exists R [= -B^-.", (1, 14, _U,
                            "a negated right side must be atomic")),
