@@ -8,6 +8,15 @@ per subject it fires on.  The chase gives the least model over the named
 individuals, so a fact holds in every model with these exceptions
 exactly when the chase derives it.
 
+The inclusions that derive one atom from one atom (`A [= B`,
+`exists R [= B`, `R [= S` and both directions of `Inv`) are stated once,
+in one table.  The chase applies them forward; the negative closure
+applies their contrapositives, -conclusion -> -premise, at the same
+exception tuple, so an exception lifts a rule and its contrapositive
+together.  `A [= exists R` is the one special case on each side: forward
+it mints a Skolem constant, backward it needs every successor denied.
+`A [= -B`, `Dis` and `Irr` only deny, and seed the negative closure.
+
 Negative consequences (and hence consistency and the justification of
 exceptions) are decided on the merged structure: all Skolem constants of
 one existential axiom are identified into a single successor column, and
@@ -21,6 +30,12 @@ is the quotient of the chase under that identification; positive facts
 transfer exactly because every positive consequence has a single
 premise, so merging subjects never enables a derivation the chase could
 not make in some column.
+
+Queries are read off the merged structure, an aux constant aux_i standing
+for the column of existential axiom i.  A positive query holds there
+exactly when some Skolem constant of axiom i satisfies it in the chase:
+the merge sends each Skolem constant of axiom i to column i, and nothing
+else lands in that column.
 """
 
 from __future__ import annotations
@@ -28,6 +43,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from typing import Callable, Iterator, NamedTuple
 
 from . import kb as K
 from .engine import INCONSISTENT
@@ -83,6 +99,162 @@ class ClashingSet:
         return "{" + ", ".join(sorted(parts)) + "}"
 
 
+def _entry(name: str, args: tuple[str, ...], positive: bool = True):
+    """The clashing-set entry asserting (or denying) name(args)."""
+    if len(args) == 1:
+        shape = K.CONCEPT_ASSERTION if positive else K.NEG_CONCEPT_ASSERTION
+    else:
+        shape = K.ROLE_ASSERTION if positive else K.NEG_ROLE_ASSERTION
+    return shape, (name,) + args
+
+
+# The single-premise inclusion rules, one row per direction: (premise
+# argument, its variables, conclusion argument, its variables, exception
+# tuple).  A premise variable the conclusion lacks is existential
+# (`exists R [= B`).  Inv(R,S) reads both ways, its exception tuple always
+# the R pair.
+_INCLUSION_RULES = {
+    K.SUBCLASS: ((0, "x", 1, "x", "x"),),
+    K.SUBEX: ((0, "xy", 1, "x", "x"),),
+    K.SUBROLE: ((0, "xy", 1, "xy", "xy"),),
+    K.INV: ((0, "xy", 1, "yx", "xy"), (1, "yx", 0, "xy", "xy")),
+}
+
+
+class _Rule(NamedTuple):
+    """One row of _INCLUSION_RULES at one axiom."""
+    axiom: K.Axiom
+    defeasible: bool
+    premise: str
+    pvars: str
+    conclusion: str
+    cvars: str
+    svars: str
+
+
+def _walk(kb: K.DKB) -> list[tuple[K.Axiom, bool]]:
+    """Every axiom with its defeasible flag: strict first, in input order."""
+    return [(ax, False) for ax in kb.strict] \
+        + [(ax, True) for ax in kb.defeasible]
+
+
+def _rules(walk) -> list[_Rule]:
+    """The rows of _INCLUSION_RULES at each inclusion axiom."""
+    return [_Rule(ax, d, ax.args[p], pv, ax.args[c], cv, sv)
+            for ax, d in walk
+            for p, pv, c, cv, sv in _INCLUSION_RULES.get(ax.shape, ())]
+
+
+def _at(binding: dict[str, str], variables: str) -> tuple[str, ...]:
+    return tuple(map(binding.__getitem__, variables))
+
+
+def _bindings(variables: str, bound: dict[str, str],
+              universe) -> Iterator[dict[str, str]]:
+    """bound extended by every value over universe of the unbound
+    variables."""
+    free = [v for v in variables if v not in bound]
+    for values in itertools.product(universe, repeat=len(free)):
+        yield {**bound, **dict(zip(free, values))}
+
+
+# excepted(axiom, defeasible, tuple): whether chi lifts the axiom there
+Excepted = Callable[[K.Axiom, bool, tuple[str, ...]], bool]
+
+
+def _depth(term: str) -> int:
+    return term.count("(")
+
+
+def _chase_positives(walk, rules: list[_Rule], excepted: Excepted,
+                     individuals, chi: frozenset[K.ClashingAssumption],
+                     depth_cap: int):
+    """Forward-chain the positive consequences; returns (universe,
+    positives, skolems).  Raises DepthExceeded when Skolem terms would
+    nest beyond depth_cap."""
+    universe: list[str] = list(individuals)
+    skolems: dict[str, int] = {}
+    positives: set[Atom] = {
+        (ax.args[0], ax.args[1:]) for ax, d in walk
+        if ax.shape in (K.CONCEPT_ASSERTION, K.ROLE_ASSERTION)
+        and not excepted(ax, d, ())}
+    supex = [(ax, d) for ax, d in walk if ax.shape == K.SUPEX]
+
+    changed = True
+    while changed:
+        changed = False
+        for rule in rules:
+            for name, args in sorted(positives):
+                if name != rule.premise:
+                    continue
+                b = dict(zip(rule.pvars, args))
+                atom = (rule.conclusion, _at(b, rule.cvars))
+                if atom not in positives and not excepted(
+                        rule.axiom, rule.defeasible, _at(b, rule.svars)):
+                    positives.add(atom)
+                    changed = True
+        for i, (ax, defeasible) in enumerate(supex):
+            concept, role = ax.args
+            for name, args in sorted(positives):
+                if name != concept or excepted(ax, defeasible, args):
+                    continue
+                subject = args[0]
+                term = f"sk_{i}({subject})"
+                if (role, (subject, term)) in positives:
+                    continue
+                if _depth(term) > depth_cap:
+                    raise DepthExceeded(chi)
+                if term not in skolems:
+                    skolems[term] = i
+                    universe.append(term)
+                positives.add((role, (subject, term)))
+                changed = True
+    return universe, positives, skolems
+
+
+def _negative_closure(walk, rules: list[_Rule], excepted: Excepted,
+                      universe: list[str], positives: set[Atom]) -> set[Atom]:
+    """The negative facts over the given universe: negated assertions,
+    irreflexivity, the two sides of each disjointness, and then the
+    contrapositives of the inclusion rules to a fixpoint."""
+    negatives: set[Atom] = set()
+    for ax, d in walk:
+        if ax.shape in (K.NEG_CONCEPT_ASSERTION, K.NEG_ROLE_ASSERTION) \
+                and not excepted(ax, d, ()):
+            negatives.add((ax.args[0], ax.args[1:]))
+        elif ax.shape == K.IRR:
+            negatives |= {(ax.args[0], (e, e)) for e in universe
+                          if not excepted(ax, d, (e,))}
+        elif ax.shape in (K.SUPNOT, K.DIS):
+            # Y [= -Z and Dis(Y,Z): each side denies the other.
+            y, z = ax.args
+            other = {y: z, z: y}
+            negatives |= {(other[name], args) for name, args in positives
+                          if name in other and not excepted(ax, d, args)}
+
+    supex = [(ax, d) for ax, d in walk if ax.shape == K.SUPEX]
+    changed = True
+    while changed:
+        fresh: set[Atom] = set()
+        for rule in rules:
+            for name, args in negatives:
+                if name != rule.conclusion:
+                    continue
+                for b in _bindings(rule.pvars, dict(zip(rule.cvars, args)),
+                                   universe):
+                    if not excepted(rule.axiom, rule.defeasible,
+                                    _at(b, rule.svars)):
+                        fresh.add((rule.premise, _at(b, rule.pvars)))
+        for ax, d in supex:
+            y, r = ax.args
+            fresh |= {(y, (e,)) for e in universe
+                      if not excepted(ax, d, (e,))
+                      and all((r, (e, f)) in negatives for f in universe)}
+        changed = not fresh <= negatives
+        negatives |= fresh
+    return negatives
+
+
 @dataclass
 class _Chase:
     """Full chase state: per-subject Skolem model plus its merged view."""
@@ -97,313 +269,125 @@ class _Chase:
     tag_of: list[str]                    # axiom index -> column name
 
 
-def _indexed_supex(kb: K.DKB) -> list[tuple[int, K.Axiom, bool]]:
-    out = []
-    i = 0
-    for defeasible, axioms in ((False, kb.strict), (True, kb.defeasible)):
-        for ax in axioms:
-            if ax.shape == K.SUPEX:
-                out.append((i, ax, defeasible))
-                i += 1
-    return out
-
-
-def _depth(term: str) -> int:
-    return term.count("(")
-
-
-def _chase_positives(kb: K.DKB, chi: frozenset[K.ClashingAssumption],
-                     depth_cap: int):
-    """Forward-chain the positive consequences; returns (universe,
-    positives, skolems).  Raises DepthExceeded when Skolem terms would
-    nest beyond depth_cap."""
-
-    def blocked(ax: K.Axiom, defeasible: bool, subject: tuple[str, ...]) -> bool:
-        if not defeasible:
-            return False
-        named = all(not s.count("(") for s in subject)
-        return named and K.ClashingAssumption(ax, subject) in chi
-
-    universe: list[str] = list(kb.vocabulary.individuals)
-    skolems: dict[str, int] = {}
-    positives: set[Atom] = set()
-    supex = [(i, ax, d) for i, ax, d in _indexed_supex(kb)]
-
-    for defeasible, axioms in ((False, kb.strict), (True, kb.defeasible)):
-        for ax in axioms:
-            if ax.shape == K.CONCEPT_ASSERTION and not blocked(ax, defeasible, ()):
-                positives.add((ax.args[0], (ax.args[1],)))
-            elif ax.shape == K.ROLE_ASSERTION and not blocked(ax, defeasible, ()):
-                positives.add((ax.args[0], (ax.args[1], ax.args[2])))
-
-    rules = []
-    for defeasible, axioms in ((False, kb.strict), (True, kb.defeasible)):
-        for ax in axioms:
-            if ax.shape in (K.SUBCLASS, K.SUBEX, K.SUBROLE, K.INV):
-                rules.append((ax, defeasible))
-
-    changed = True
-    while changed:
-        changed = False
-        for ax, defeasible in rules:
-            for name, args in sorted(positives):
-                new: tuple[Atom, tuple[str, ...]] | None = None
-                if ax.shape == K.SUBCLASS and name == ax.args[0]:
-                    new = ((ax.args[1], args), (args[0],))
-                elif ax.shape == K.SUBEX and name == ax.args[0]:
-                    new = ((ax.args[1], (args[0],)), (args[0],))
-                elif ax.shape == K.SUBROLE and name == ax.args[0]:
-                    new = ((ax.args[1], args), args)
-                elif ax.shape == K.INV and name == ax.args[0]:
-                    new = ((ax.args[1], (args[1], args[0])), args)
-                elif ax.shape == K.INV and name == ax.args[1]:
-                    # S(e,f) with Inv(R,S): R(f,e); exception tuple is
-                    # always the first role's pair.
-                    new = ((ax.args[0], (args[1], args[0])), (args[1], args[0]))
-                if new is None:
-                    continue
-                atom, subject = new
-                if atom not in positives and not blocked(ax, defeasible, subject):
-                    positives.add(atom)
-                    changed = True
-        for i, ax, defeasible in supex:
-            concept, role = ax.args
-            for name, args in sorted(positives):
-                if name != concept:
-                    continue
-                subject = args[0]
-                if blocked(ax, defeasible, (subject,)):
-                    continue
-                term = f"sk_{i}({subject})"
-                if (role, (subject, term)) in positives:
-                    continue
-                if _depth(term) > depth_cap:
-                    raise DepthExceeded(chi)
-                if term not in skolems:
-                    skolems[term] = i
-                    universe.append(term)
-                positives.add((role, (subject, term)))
-                changed = True
-    return universe, positives, skolems
-
-
-def _negative_closure(kb: K.DKB, chi: frozenset[K.ClashingAssumption],
-                      universe: list[str], positives: set[Atom],
-                      named: set[str]) -> set[Atom]:
-    """Contrapositive consequences over the given universe.  Defeasible
-    axioms are skipped exactly at their chi tuples, mirroring how the
-    compiled program guards its application rules."""
-
-    def blocked(ax: K.Axiom, defeasible: bool, subject: tuple[str, ...]) -> bool:
-        if not defeasible:
-            return False
-        if not all(s in named for s in subject):
-            return False
-        return K.ClashingAssumption(ax, subject) in chi
-
-    negatives: set[Atom] = set()
-    for defeasible, axioms in ((False, kb.strict), (True, kb.defeasible)):
-        for ax in axioms:
-            if ax.shape == K.NEG_CONCEPT_ASSERTION \
-                    and not blocked(ax, defeasible, ()):
-                negatives.add((ax.args[0], (ax.args[1],)))
-            elif ax.shape == K.NEG_ROLE_ASSERTION \
-                    and not blocked(ax, defeasible, ()):
-                negatives.add((ax.args[0], (ax.args[1], ax.args[2])))
-            elif ax.shape == K.IRR:
-                for e in universe:
-                    if not blocked(ax, defeasible, (e,)):
-                        negatives.add((ax.args[0], (e, e)))
-            elif ax.shape == K.SUPNOT:
-                y, z = ax.args
-                for name, args in positives:
-                    if name == y and not blocked(ax, defeasible, (args[0],)):
-                        negatives.add((z, args))
-                    if name == z and not blocked(ax, defeasible, (args[0],)):
-                        negatives.add((y, args))
-            elif ax.shape == K.DIS:
-                r, s = ax.args
-                for name, args in positives:
-                    if name == r and not blocked(ax, defeasible, args):
-                        negatives.add((s, args))
-                    if name == s and not blocked(ax, defeasible, args):
-                        negatives.add((r, args))
-
-    rules = [(ax, d) for d, axioms in ((False, kb.strict), (True, kb.defeasible))
-             for ax in axioms
-             if ax.shape in (K.SUBCLASS, K.SUBEX, K.SUPEX, K.SUBROLE, K.INV)]
-    changed = True
-    while changed:
-        changed = False
-        fresh: set[Atom] = set()
-        for ax, defeasible in rules:
-            if ax.shape == K.SUBCLASS:
-                y, z = ax.args
-                for name, args in negatives:
-                    if name == z and not blocked(ax, defeasible, (args[0],)) \
-                            and (y, args) not in negatives:
-                        fresh.add((y, args))
-            elif ax.shape == K.SUBEX:
-                r, z = ax.args
-                for name, args in negatives:
-                    if name != z:
-                        continue
-                    e = args[0]
-                    if blocked(ax, defeasible, (e,)):
-                        continue
-                    for f in universe:
-                        if (r, (e, f)) not in negatives:
-                            fresh.add((r, (e, f)))
-            elif ax.shape == K.SUPEX:
-                y, r = ax.args
-                for e in universe:
-                    if blocked(ax, defeasible, (e,)):
-                        continue
-                    if (y, (e,)) in negatives:
-                        continue
-                    if all((r, (e, f)) in negatives for f in universe):
-                        fresh.add((y, (e,)))
-            elif ax.shape == K.SUBROLE:
-                r, s = ax.args
-                for name, args in negatives:
-                    if name == s and not blocked(ax, defeasible, args) \
-                            and (r, args) not in negatives:
-                        fresh.add((r, args))
-            elif ax.shape == K.INV:
-                r, s = ax.args
-                for name, args in negatives:
-                    if name not in (r, s):
-                        continue
-                    flipped = (args[1], args[0])
-                    if name == r and not blocked(ax, defeasible, args) \
-                            and (s, flipped) not in negatives:
-                        fresh.add((s, flipped))
-                    if name == s and not blocked(ax, defeasible, flipped) \
-                            and (r, flipped) not in negatives:
-                        fresh.add((r, flipped))
-        if fresh - negatives:
-            negatives |= fresh
-            changed = True
-    return negatives
-
-
 def _tag_names(kb: K.DKB) -> list[str]:
     # '~' cannot occur in declared names, so columns never collide.
     return [f"~aux{i}" for i in range(len(kb.supex_axioms()))]
 
 
-def _chase_full(kb: K.DKB, chi: frozenset[K.ClashingAssumption],
-                depth_cap: int) -> _Chase:
-    kb = kb.dedup()
-    universe, positives, skolems = _chase_positives(kb, chi, depth_cap)
-    named = set(kb.vocabulary.individuals)
+def _chase(kb: K.DKB, chi: frozenset[K.ClashingAssumption],
+           depth_cap: int) -> _Chase:
+    """The chase of a deduplicated KB under chi, and its merged view."""
+    individuals = kb.vocabulary.individuals
+    named = set(individuals)
+    lifted = {(ca.axiom, ca.args) for ca in chi if named.issuperset(ca.args)}
 
+    def excepted(ax: K.Axiom, defeasible: bool,
+                 args: tuple[str, ...]) -> bool:
+        # The one exception test: chi lifts a defeasible axiom at the
+        # tuples of named individuals it lists, and nowhere else.
+        return defeasible and (ax, args) in lifted
+
+    walk = _walk(kb)
+    rules = _rules(walk)
+    universe, positives, skolems = _chase_positives(
+        walk, rules, excepted, individuals, chi, depth_cap)
     tag_of = _tag_names(kb)
     q = {term: tag_of[i] for term, i in skolems.items()}
-    merged_universe = list(kb.vocabulary.individuals) + tag_of
+    merged_universe = list(individuals) + tag_of
     merged_pos = {(name, tuple(q.get(t, t) for t in args))
                   for name, args in positives}
-    merged_neg = _negative_closure(kb, chi, merged_universe, merged_pos, named)
-    consistent = not (merged_pos & merged_neg)
-    return _Chase(universe, positives, skolems, merged_universe,
-                  merged_pos, merged_neg, consistent, tag_of)
+    merged_neg = _negative_closure(walk, rules, excepted, merged_universe,
+                                   merged_pos)
+    return _Chase(universe, positives, skolems, merged_universe, merged_pos,
+                  merged_neg, not (merged_pos & merged_neg), tag_of)
 
 
-def _expand_negatives(ch: _Chase) -> frozenset[Atom]:
-    """Merged negatives mapped back to chase terms: a negated fact at a
-    column stands for that fact at each Skolem of the column's axiom."""
+def _clash(ch: _Chase, ca: K.ClashingAssumption) -> ClashingSet | None:
+    """The clashing set for ca that the merged structure derives, if any:
+    facts showing the axiom cannot apply at ca's tuple."""
+    pos, neg, universe = ch.merged_pos, ch.merged_neg, ch.merged_universe
+    ax, e = ca.axiom, ca.args
+    a = ax.args
+    if ax.is_assertion:
+        atom = (a[0], a[1:])
+        positive = ax.shape in (K.CONCEPT_ASSERTION, K.ROLE_ASSERTION)
+        if atom in (neg if positive else pos):
+            return ClashingSet((_entry(*atom, not positive),))
+    elif ax.shape in (K.SUPNOT, K.DIS):
+        if (a[0], e) in pos and (a[1], e) in pos:
+            return ClashingSet((_entry(a[0], e), _entry(a[1], e)))
+    elif ax.shape == K.SUPEX:
+        y, r = a
+        if (y, e) in pos and all((r, (e[0], f)) in neg for f in universe):
+            return ClashingSet((_entry(y, e), (NEG_EXISTS, (r, e[0]))))
+    elif ax.shape == K.IRR:
+        if (a[0], (e[0], e[0])) in pos:
+            return ClashingSet((_entry(a[0], (e[0], e[0])),))
+    # An inclusion row clashes where its premise holds and its conclusion
+    # is denied; an existential premise is reported as `exists R(e)`.
+    for rule in _rules([(ax, True)]):
+        at_e = dict(zip(rule.svars, e))
+        conclusion = _at(at_e, rule.cvars)
+        if (rule.conclusion, conclusion) not in neg:
+            continue
+        for b in _bindings(rule.pvars, at_e, universe):
+            premise = _at(b, rule.pvars)
+            if (rule.premise, premise) in pos:
+                seen = ((POS_EXISTS, (rule.premise,) + e) if len(b) > len(e)
+                        else _entry(rule.premise, premise))
+                return ClashingSet(
+                    (seen, _entry(rule.conclusion, conclusion, False)))
+    return None
+
+
+def _justified_chase(kb: K.DKB, chi: frozenset[K.ClashingAssumption],
+                     depth_cap: int) -> _Chase | None:
+    """The chase under chi when chi is a justified exception set (the
+    chase is consistent and derives a clashing set for every exception
+    in chi), else None."""
+    ch = _chase(kb, chi, depth_cap)
+    if ch.consistent and all(_clash(ch, ca) is not None for ca in chi):
+        return ch
+    return None
+
+
+def _justified_chases(kb: K.DKB, depth_cap: int) \
+        -> list[tuple[frozenset[K.ClashingAssumption], _Chase]]:
+    """Every justified chi of a deduplicated KB with its chase, by
+    enumeration over every candidate subset, smallest first."""
+    candidates = K.ca_candidates(kb)
+    out = []
+    for k in range(len(candidates) + 1):
+        for combo in itertools.combinations(candidates, k):
+            chi = frozenset(combo)
+            ch = _justified_chase(kb, chi, depth_cap)
+            if ch is not None:
+                out.append((chi, ch))
+    return out
+
+
+def _to_model(ch: _Chase) -> HerbrandModel:
+    # A negated fact at a column stands for that fact at each Skolem
+    # constant of the column's axiom.
     expansion: dict[str, list[str]] = {t: [] for t in ch.tag_of}
     for term, i in ch.skolems.items():
         expansion[ch.tag_of[i]].append(term)
-    out: set[Atom] = set()
-    for name, args in ch.merged_neg:
-        choices = [expansion.get(a, [a]) for a in args]
-        for combo in itertools.product(*choices):
-            out.add((name, combo))
-    return frozenset(out)
+    negatives = {(name, combo) for name, args in ch.merged_neg
+                 for combo in itertools.product(
+                     *(expansion.get(a, [a]) for a in args))}
+    return HerbrandModel(
+        universe=tuple(ch.universe),
+        positives=frozenset(ch.positives),
+        negatives=frozenset(negatives),
+        skolems=tuple(sorted(ch.skolems.items(), key=lambda kv: (kv[1], kv[0]))))
 
 
 def chase(kb: K.DKB, chi: frozenset[K.ClashingAssumption] = frozenset(),
           depth_cap: int = 3):
     """Least model with exceptions chi: HerbrandModel, or INCONSISTENT.
     Raises DepthExceeded when Skolem terms would nest beyond depth_cap."""
-    ch = _chase_full(kb, chi, depth_cap)
-    if not ch.consistent:
-        return INCONSISTENT
-    return _to_model(ch)
-
-
-def _justified(ch: _Chase, ca: K.ClashingAssumption) \
-        -> tuple[bool, ClashingSet | None]:
-    """Shape-specific clash condition on the merged structure."""
-    pos, neg = ch.merged_pos, ch.merged_neg
-    ax, e = ca.axiom, ca.args
-    s, a = ax.shape, ax.args
-    if s == K.CONCEPT_ASSERTION:
-        if (a[0], (a[1],)) in neg:
-            return True, ClashingSet(((K.NEG_CONCEPT_ASSERTION, a),))
-    elif s == K.NEG_CONCEPT_ASSERTION:
-        if (a[0], (a[1],)) in pos:
-            return True, ClashingSet(((K.CONCEPT_ASSERTION, a),))
-    elif s == K.ROLE_ASSERTION:
-        if (a[0], (a[1], a[2])) in neg:
-            return True, ClashingSet(((K.NEG_ROLE_ASSERTION, a),))
-    elif s == K.NEG_ROLE_ASSERTION:
-        if (a[0], (a[1], a[2])) in pos:
-            return True, ClashingSet(((K.ROLE_ASSERTION, a),))
-    elif s == K.SUBCLASS:
-        y, z = a
-        if (y, e) in pos and (z, e) in neg:
-            return True, ClashingSet((
-                (K.CONCEPT_ASSERTION, (y, e[0])),
-                (K.NEG_CONCEPT_ASSERTION, (z, e[0]))))
-    elif s == K.SUPNOT:
-        y, z = a
-        if (y, e) in pos and (z, e) in pos:
-            return True, ClashingSet((
-                (K.CONCEPT_ASSERTION, (y, e[0])),
-                (K.CONCEPT_ASSERTION, (z, e[0]))))
-    elif s == K.SUBEX:
-        r, z = a
-        if (z, e) in neg and any(name == r and args[0] == e[0]
-                                 for name, args in pos):
-            return True, ClashingSet((
-                (POS_EXISTS, (r, e[0])),
-                (K.NEG_CONCEPT_ASSERTION, (z, e[0]))))
-    elif s == K.SUPEX:
-        y, r = a
-        if (y, e) in pos and all((r, (e[0], f)) in neg
-                                 for f in ch.merged_universe):
-            return True, ClashingSet((
-                (K.CONCEPT_ASSERTION, (y, e[0])),
-                (NEG_EXISTS, (r, e[0]))))
-    elif s == K.SUBROLE:
-        r, z = a
-        if (r, e) in pos and (z, e) in neg:
-            return True, ClashingSet((
-                (K.ROLE_ASSERTION, (r, e[0], e[1])),
-                (K.NEG_ROLE_ASSERTION, (z, e[0], e[1]))))
-    elif s == K.DIS:
-        r, z = a
-        if (r, e) in pos and (z, e) in pos:
-            return True, ClashingSet((
-                (K.ROLE_ASSERTION, (r, e[0], e[1])),
-                (K.ROLE_ASSERTION, (z, e[0], e[1]))))
-    elif s == K.INV:
-        r, z = a
-        flipped = (e[1], e[0])
-        if (r, e) in pos and (z, flipped) in neg:
-            return True, ClashingSet((
-                (K.ROLE_ASSERTION, (r, e[0], e[1])),
-                (K.NEG_ROLE_ASSERTION, (z, e[1], e[0]))))
-        if (z, flipped) in pos and (r, e) in neg:
-            return True, ClashingSet((
-                (K.ROLE_ASSERTION, (z, e[1], e[0])),
-                (K.NEG_ROLE_ASSERTION, (r, e[0], e[1]))))
-    elif s == K.IRR:
-        if (a[0], (e[0], e[0])) in pos:
-            return True, ClashingSet(((K.ROLE_ASSERTION, (a[0], e[0], e[0])),))
-    return False, None
+    ch = _chase(kb.dedup(), chi, depth_cap)
+    return _to_model(ch) if ch.consistent else INCONSISTENT
 
 
 def check_justified(kb: K.DKB, chi: frozenset[K.ClashingAssumption],
@@ -413,85 +397,47 @@ def check_justified(kb: K.DKB, chi: frozenset[K.ClashingAssumption],
     must entail a clashing set for it.  Precondition: ca in chi and the
     chase under chi is consistent; raises DepthExceeded when it exceeds
     depth_cap."""
+    kb = kb.dedup()
     if ca not in chi:
         raise ValueError(f"{ca.text()} is not in chi")
     if ca not in set(K.ca_candidates(kb)):
         raise ValueError(f"{ca.text()} is not a candidate of this KB")
-    ch = _chase_full(kb, chi, depth_cap)
+    ch = _chase(kb, chi, depth_cap)
     if not ch.consistent:
         raise ValueError("chase under chi must be consistent")
-    return _justified(ch, ca)
-
-
-def _to_model(ch: _Chase) -> HerbrandModel:
-    return HerbrandModel(
-        universe=tuple(ch.universe),
-        positives=frozenset(ch.positives),
-        negatives=_expand_negatives(ch),
-        skolems=tuple(sorted(ch.skolems.items(), key=lambda kv: (kv[1], kv[0]))))
+    cs = _clash(ch, ca)
+    return cs is not None, cs
 
 
 def oracle_models(kb: K.DKB, depth_cap: int = 3) \
         -> list[tuple[frozenset[K.ClashingAssumption], HerbrandModel]]:
     """All exception sets that are consistent and fully justified, each
     with its chase model, by enumeration over every candidate subset."""
-    kb = kb.dedup()
-    candidates = K.ca_candidates(kb)
-    out = []
-    for k in range(len(candidates) + 1):
-        for combo in itertools.combinations(candidates, k):
-            chi = frozenset(combo)
-            ch = _chase_full(kb, chi, depth_cap)
-            if not ch.consistent:
-                continue
-            if all(_justified(ch, ca)[0] for ca in chi):
-                out.append((chi, _to_model(ch)))
-    return out
+    return [(chi, _to_model(ch))
+            for chi, ch in _justified_chases(kb.dedup(), depth_cap)]
 
 
 _AUX_NAME = re.compile(r"aux_+(\d+)\Z")
 
 
-def _aux_index(kb: K.DKB, term: str) -> int | None:
-    if term in kb.vocabulary.individuals:
-        return None
-    m = _AUX_NAME.match(term)
-    if m and int(m.group(1)) < len(kb.supex_axioms()):
-        return int(m.group(1))
-    return None
-
-
 def oracle_answer(kb: K.DKB, query: K.Axiom, depth_cap: int = 3) -> bool:
-    """True iff the query holds in every justified model.  An aux
-    constant in a role query matches any Skolem constant of the same
-    existential axiom; negated queries are answered on the merged
-    structure, where the aux constant is the axiom's column."""
+    """True iff the query holds in every justified model, read off each
+    model's merged structure: an aux constant aux_i that is not a named
+    individual stands for the column of existential axiom i, so in a
+    positive query it matches any Skolem constant of that axiom."""
+    if not query.is_assertion:
+        raise ValueError(f"not a ground assertion query: {query.text()}")
     kb = kb.dedup()
-    models = oracle_models(kb, depth_cap)
-    if query.shape in (K.CONCEPT_ASSERTION, K.ROLE_ASSERTION):
-        name = query.args[0]
-        terms = query.args[1:]
-        for chi, model in models:
-            by_axiom: dict[int, list[str]] = {}
-            for term, i in model.skolems:
-                by_axiom.setdefault(i, []).append(term)
-            choices = []
-            for t in terms:
-                i = _aux_index(kb, t)
-                choices.append([t] if i is None else by_axiom.get(i, []))
-            if not any((name, combo) in model.positives
-                       for combo in itertools.product(*choices)):
-                return False
-        return True
-    if query.shape in (K.NEG_CONCEPT_ASSERTION, K.NEG_ROLE_ASSERTION):
-        name = query.args[0]
-        tags = _tag_names(kb)
-        for chi, _model in models:
-            ch = _chase_full(kb, chi, depth_cap)
-            args = tuple(t if _aux_index(kb, t) is None
-                         else tags[_aux_index(kb, t)]
-                         for t in query.args[1:])
-            if (name, args) not in ch.merged_neg:
-                return False
-        return True
-    raise ValueError(f"not a ground assertion query: {query.text()}")
+    tags = _tag_names(kb)
+
+    def column(term: str) -> str:
+        m = _AUX_NAME.match(term)
+        if term in kb.vocabulary.individuals or not m \
+                or int(m.group(1)) >= len(tags):
+            return term
+        return tags[int(m.group(1))]
+
+    atom = (query.args[0], tuple(column(t) for t in query.args[1:]))
+    positive = query.shape in (K.CONCEPT_ASSERTION, K.ROLE_ASSERTION)
+    return all(atom in (ch.merged_pos if positive else ch.merged_neg)
+               for _chi, ch in _justified_chases(kb, depth_cap))

@@ -20,8 +20,9 @@ position is a concept, any name in a role position is a role, and a
 lowercase-initial argument is an individual; declarations override the
 case convention.  A bare inclusion `X [= Y` reads as a role inclusion
 when both names are known roles, otherwise as a concept inclusion.
-Names starting with '_' are reserved for the normalizer.  `Ref(R)` is
-recognized and rejected: the semantics excludes reflexivity axioms.
+`exists` is a keyword and never a name.  Names starting with '_' are
+reserved for the normalizer.  `Ref(R)` is recognized and rejected: the
+semantics excludes reflexivity axioms.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ class ParseError(Exception):
 
 
 class _Tok(NamedTuple):
-    kind: str  # name, incl, inv, lp, rp, comma, dot, minus, eof
+    kind: str  # name, exists, incl, inv, lp, rp, comma, dot, minus, eof
     value: str
     line: int
     column: int
@@ -104,6 +105,8 @@ def _tokenize(text: str) -> list[_Tok]:
         if kind == "name" and value.startswith("_"):
             raise ParseError(line, col,
                              f"{value!r}: names starting with '_' are reserved")
+        if value == "exists":
+            kind = "exists"  # a keyword, never a name
         toks.append(_Tok(kind, value, line, col))
         col += len(value)
     toks.append(_Tok("eof", "", line, col))
@@ -180,7 +183,7 @@ class _Parser:
     def statement(self):
         t = self.peek()
         if t.kind == "name" and t.value in _DECL_KEYWORDS \
-                and self.peek(1).kind == "name":
+                and self.peek(1).kind in ("name", "exists"):
             self.pos += 1
             st = _Decl(t.value, self.take("name", "a name"))
         else:
@@ -208,7 +211,7 @@ class _Parser:
             return self._role_axiom(t.value)
         # Any other axiom opens with a term: '-', `exists`, or a name
         # before '(', '[=' or '^-'.
-        if t.kind != "minus" and t.value != "exists" and not (
+        if t.kind not in ("minus", "exists") and not (
                 t.kind == "name"
                 and self.peek(1).kind in ("lp", "incl", "inv")):
             raise _expected("an axiom", t)
@@ -234,20 +237,17 @@ class _Parser:
     def _wraps_axiom(self) -> bool:
         """D( ... ) is a defeasible wrapper unless the parentheses hold a
         bare argument list, in which case D is an ordinary predicate.  The
-        first token that is neither a comma nor a name other than `exists`
-        decides: only ')' closes an argument list."""
+        first token that is neither a comma nor a name decides: only ')'
+        closes an argument list."""
         i = self.pos + 2
-        while self.toks[i].kind in ("name", "comma") \
-                and self.toks[i].value != "exists":
+        while self.toks[i].kind in ("name", "comma"):
             i += 1
         return self.toks[i].kind != "rp"
 
     def _term(self) -> _Term:
         """`[-] [exists] name`; the caller reads any `^-` after it."""
         neg = self.accept("minus")
-        exists = self.peek().value == "exists"
-        if exists:
-            self.pos += 1
+        exists = self.accept("exists")
         name = self.take("name", "a role name" if exists else "a name")
         return _Term(neg, exists, name)
 

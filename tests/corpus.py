@@ -154,14 +154,27 @@ def _draw_assertion(rng, concepts, roles, inds):
         rng.choice(roles), rng.choice(inds), rng.choice(inds))
 
 
-def _draw(rng: random.Random) -> K.DKB | None:
+def _draw_self_pair_axiom(rng, concepts, roles):
+    """Half the time an axiom that names one concept or role twice
+    (A [= A, A [= -A, R [= R, Dis(R,R), Inv(R,R)), else an ordinary
+    TBox axiom."""
+    if rng.random() < 0.5:
+        return _draw_tbox_axiom(rng, concepts, roles)
+    role_shapes = [K.SUBROLE, K.DIS, K.INV] if roles else []
+    s = rng.choice([K.SUBCLASS, K.SUPNOT] + role_shapes)
+    name = rng.choice(roles if s in role_shapes else concepts)
+    return K.Axiom(s, (name, name))
+
+
+def _draw(rng: random.Random, draw_tbox_axiom=_draw_tbox_axiom) \
+        -> K.DKB | None:
     concepts = CONCEPTS[: rng.randint(2, 4)]
     roles = ROLES[: rng.randint(0, 2)]
     inds = INDIVIDUALS[: rng.randint(1, 3)]
 
     n_tbox = rng.randint(1, 6)
     n_abox = rng.randint(1, min(5, 12 - n_tbox))
-    axioms = [_draw_tbox_axiom(rng, concepts, roles) for _ in range(n_tbox)]
+    axioms = [draw_tbox_axiom(rng, concepts, roles) for _ in range(n_tbox)]
     axioms += [_draw_assertion(rng, concepts, roles, inds)
                for _ in range(n_abox)]
     axioms = list(dict.fromkeys(axioms))
@@ -198,6 +211,20 @@ def corpus_kbs(count: int = 240, seed: int = 1806) -> list[K.DKB]:
         if kb is not None:
             out.append(kb)
     assert len(out) == count, f"generator starved at {len(out)}"
+    return out
+
+
+def self_pair_kbs(count: int, seed: int) -> list[K.DKB]:
+    """Like corpus_kbs, but every KB has at least one TBox axiom that
+    names one concept or role twice, which corpus_kbs never draws."""
+    rng = random.Random(seed)
+    out: list[K.DKB] = []
+    while len(out) < count:
+        kb = _draw(rng, _draw_self_pair_axiom)
+        if kb is not None and any(
+                not ax.is_assertion and len(set(ax.args)) < len(ax.args)
+                for ax in kb.strict + kb.defeasible):
+            out.append(kb)
     return out
 
 

@@ -19,16 +19,21 @@ import pytest
 from conftest import entailment
 from corpus import (
     corpus_kbs,
+    dept_kb,
     flat_aboxes,
     flat_queries,
     flat_tboxes,
+    nixon_text,
     scale_kb,
     scale_kb_text,
+    self_pair_kbs,
 )
 from dkblite import kb as K
 from dkblite.cli import EXIT_OK, main
-from dkblite.engine import answer_sets, ground
-from dkblite.oracle import oracle_answer, oracle_models
+from dkblite.engine import INCONSISTENT, MAX_OVR, answer_sets, ground
+from dkblite.normalize import normalize
+from dkblite.oracle import chase, check_justified, oracle_answer, oracle_models
+from dkblite.parser import parse_dkb
 from dkblite.reasoner import entails, justified_models, satisfiable
 from dkblite.reductions import (
     FlatKB,
@@ -108,6 +113,104 @@ def test_reasoner_agrees_with_oracle_on_random_corpus():
     assert chi_mismatches == []
     assert len(kbs) >= 200 and checked >= 2000
     assert elapsed < 60.0
+
+
+def _verdicts(reports, kb) -> list[bool]:
+    """Whether each named query holds in every reported model."""
+    return [all(q in r.derived_positive for r in reports)
+            for q in K.named_queries(kb)]
+
+
+def test_reasoner_agrees_with_oracle_on_self_pair_axioms():
+    # A [= A, A [= -A, R [= R, Dis(R,R) and Inv(R,R): corpus_kbs draws
+    # two distinct names for every two-name axiom, so it has none.
+    kbs = self_pair_kbs(400, 11)
+    t0 = time.perf_counter()
+    mismatches = []
+    for kb in kbs:
+        reports = justified_models(kb)
+        models = oracle_models(kb, depth_cap=12)
+        oracle_verdicts = [all(m.holds((q.args[0], q.args[1:]))
+                               for _chi, m in models)
+                           for q in K.named_queries(kb)]
+        if {frozenset(r.chi) for r in reports} != {chi for chi, _ in models} \
+                or _verdicts(reports, kb) != oracle_verdicts:
+            mismatches.append(kb)
+    elapsed = time.perf_counter() - t0
+    _verdict("self-pair axioms", not mismatches, elapsed, 30.0,
+             f"{len(kbs)} KBs, {len(mismatches)} disagreements")
+    assert mismatches == []
+    assert elapsed < 30.0
+
+
+def test_every_pipeline_model_is_certified_by_one_chase():
+    # Soundness beyond enumeration: oracle_models cannot reach these
+    # sizes, but one chase under a reported chi checks that model.  It
+    # must be consistent, justify every exception, and hold exactly the
+    # named queries the report derives.
+    cases = [(dept_kb(2 * s, s), 4 * s) for s in (8, 9, 10)]
+    cases += [(normalize(parse_dkb(nixon_text(k))), MAX_OVR)
+              for k in range(1, 8)]
+    t0 = time.perf_counter()
+    certified = 0
+    for kb, cap in cases:
+        reports = justified_models(kb, max_ovr=cap)
+        assert reports
+        for r in reports:
+            chi = frozenset(r.chi)
+            model = chase(kb, chi)
+            assert model is not INCONSISTENT
+            assert all(check_justified(kb, chi, ca)[0] for ca in chi)
+            for q in K.named_queries(kb):
+                assert (q in r.derived_positive) \
+                    == model.holds((q.args[0], q.args[1:])), q.text()
+            certified += 1
+    elapsed = time.perf_counter() - t0
+    _verdict("one chase per model", True, elapsed, 30.0,
+             f"{certified} models of dept(2s,s), s = 8..10, and Nixon(k), "
+             "k <= 7")
+    assert elapsed < 30.0
+
+
+def _renamed(kb: K.DKB, rng: random.Random):
+    """kb with fresh individual names, declared in a shuffled order, and
+    the axiom renaming."""
+    inds = kb.vocabulary.individuals
+    rename = dict(zip(inds, (f"i{n}" for n in rng.sample(range(100),
+                                                          len(inds)))))
+    order = list(rename.values())
+    rng.shuffle(order)
+
+    def axiom(ax: K.Axiom) -> K.Axiom:
+        return K.Axiom(ax.shape, tuple(rename.get(a, a) for a in ax.args))
+
+    v = kb.vocabulary
+    return K.DKB(K.Vocabulary(v.concepts, v.roles, tuple(order)),
+                 tuple(map(axiom, kb.strict)),
+                 tuple(map(axiom, kb.defeasible))), axiom, rename
+
+
+def test_answers_do_not_depend_on_individual_names_or_order():
+    # Renaming the individuals and permuting their declaration order
+    # renames the exception sets and keeps every named-query verdict.
+    rng = random.Random(1806)
+    kbs = corpus_kbs(240, seed=1806)[:80] + [dept_kb(8, 4)]
+    t0 = time.perf_counter()
+    for kb in kbs:
+        renamed, axiom, rename = _renamed(kb, rng)
+        reports = justified_models(kb)
+        theirs = justified_models(renamed)
+        assert {frozenset(K.ClashingAssumption(
+                    axiom(ca.axiom), tuple(rename[a] for a in ca.args))
+                          for ca in r.chi) for r in reports} \
+            == {frozenset(r.chi) for r in theirs}
+        assert _verdicts(reports, kb) == [
+            all(axiom(q) in r.derived_positive for r in theirs)
+            for q in K.named_queries(kb)]
+    elapsed = time.perf_counter() - t0
+    _verdict("renaming", True, elapsed, 30.0,
+             f"{len(kbs)} KBs renamed and reordered")
+    assert elapsed < 30.0
 
 
 def test_satisfiability_matches_model_existence_on_random_corpus():

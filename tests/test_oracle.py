@@ -1,9 +1,12 @@
 """Chase-based reference semantics."""
 
+import ast
 import itertools
+import pathlib
 
 import pytest
 
+import dkblite.oracle
 from dkblite import kb as K
 from dkblite.engine import INCONSISTENT
 from dkblite.oracle import (
@@ -68,6 +71,19 @@ def test_chase_depth_cap_on_cyclic_existentials():
     with pytest.raises(DepthExceeded) as exc:
         oracle_models(kb)
     assert exc.value.chi == frozenset()
+
+
+def test_chase_applies_both_directions_of_a_self_inverse():
+    # Inv(R,S) gives S(y,x) from R(x,y) and R(x,y) from S(y,x), both at
+    # the pair (x,y).  Under Inv(R,R), R(a,b) yields R(b,a) at (a,b) and
+    # again at (b,a), so excepting (a,b) alone leaves R(b,a) derived.
+    ax = K.inv("R", "R")
+    kb = K.DKB.from_axioms(strict=(K.role_assertion("R", "a", "b"),),
+                           defeasible=(ax,))
+    ab, ba = (K.ClashingAssumption(ax, p) for p in (("a", "b"), ("b", "a")))
+    assert chase(kb, frozenset({ab})).positives == {
+        ("R", ("a", "b")), ("R", ("b", "a"))}
+    assert chase(kb, frozenset({ab, ba})).positives == {("R", ("a", "b"))}
 
 
 def test_chase_is_deterministic(k_dept):
@@ -264,3 +280,34 @@ def test_oracle_answer_dept_queries(k_dept):
 def test_oracle_answer_rejects_non_assertion_queries(k_dept):
     with pytest.raises(ValueError, match="assertion"):
         oracle_answer(k_dept, K.subclass("Professor", "DeptMember"))
+
+
+# --- independence ---
+
+
+def _package_imports(path: pathlib.Path) -> set[str]:
+    """The names a module imports from the dkblite package, relative to
+    it: "kb" for `from . import kb`, "engine.X" for `from .engine import
+    X`."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names |= {a.name.removeprefix("dkblite.") for a in node.names
+                      if a.name.split(".")[0] == "dkblite"}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "dkblite":
+                    continue
+                module = module.removeprefix("dkblite").lstrip(".")
+            names |= {f"{module}.{a.name}".lstrip(".") for a in node.names}
+    return names
+
+
+def test_oracle_is_independent_of_the_translation():
+    # The oracle is the reference the program pipeline is checked
+    # against, so it may use the domain model and the INCONSISTENT
+    # marker, but nothing of translate, program, reasoner, parser,
+    # normalize or cli.
+    path = pathlib.Path(dkblite.oracle.__file__)
+    assert _package_imports(path) == {"kb", "engine.INCONSISTENT"}
