@@ -9,7 +9,8 @@ rewritten into these shapes by the frontend before it reaches this model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
 
@@ -61,9 +62,20 @@ ASSERTION_SHAPES = frozenset(
     shape for shape, row in _SHAPES.items() if _I in row.sorts)
 
 
+# The name grammar, stated once: the parser reads names by it, and Axiom
+# and Vocabulary check every name against it ('?', which marks a variable
+# in the compiled program, is outside it).  Generated names cannot collide
+# with declared ones:
+#   _N<i>, _R<i>  normalize helpers: _Fresh skips indices the input takes
+#   aux_<i>       DKB.aux_constants: the prefix lengthens past declared names
+#   sk_<i>(t)     oracle Skolem terms: '(' is outside the grammar
+NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+KEYWORDS = frozenset({"exists"})
+_NAME = re.compile(NAME)
+
+
 def _check_name(name: str) -> None:
-    # '?' marks a variable in the compiled program (program.is_var).
-    if not name or name.startswith("?") or any(ch.isspace() for ch in name):
+    if not _NAME.fullmatch(name) or name in KEYWORDS:
         raise ValueError(f"bad identifier: {name!r}")
 
 
@@ -216,6 +228,16 @@ class DKB:
         """
         return tuple(ax for ax in self.strict + self.defeasible
                      if ax.shape == SUPEX)
+
+    def aux_constants(self) -> tuple[str, ...]:
+        """aux_<i> for the i-th of supex_axioms(); the prefix gains a '_'
+        while a declared name starts with it."""
+        v = self.vocabulary
+        prefix = "aux_"
+        while any(n.startswith(prefix)
+                  for n in v.concepts + v.roles + v.individuals):
+            prefix += "_"
+        return tuple(f"{prefix}{i}" for i in range(len(self.supex_axioms())))
 
     def dedup(self) -> "DKB":
         """Drop duplicate axioms, keeping first occurrences and order."""

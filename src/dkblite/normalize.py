@@ -1,6 +1,6 @@
 """Rewriting surface axioms into the normal form the translator accepts.
 
-Rewrites, each introducing strict helper axioms over reserved names
+Rewrites, each introducing strict helper axioms over fresh helper names
 (_N<i> for concepts, _R<i> for roles) while the user's axiom keeps any
 defeasibility marker:
 
@@ -15,18 +15,14 @@ The parser rejects `R^-(a,b)`, so the last rewrite applies only to a
 SurfaceKB built in code.
 
 Helper names are shared: two axioms needing the same helper for the same
-role reuse it.  Normal-form axioms pass through unchanged, so the
-rewriting is idempotent.
+role reuse it.  They are names of kb.NAME, so rendered output parses back;
+normal-form axioms pass through unchanged, so the rewriting is idempotent.
 """
 
 from __future__ import annotations
 
-import re
-
 from . import kb as K
 from . import parser as P
-
-_RESERVED = re.compile(r"_[NR](\d+)\Z")
 
 
 def _surface_view(kb: K.DKB | P.SurfaceKB) -> P.SurfaceKB:
@@ -39,23 +35,17 @@ def _surface_view(kb: K.DKB | P.SurfaceKB) -> P.SurfaceKB:
 
 
 class _Fresh:
-    """Reserved-name allocator that never collides with names already in
+    """Helper-name allocator that never collides with names already in
     the input (which can itself be normalizer output)."""
 
     def __init__(self, taken: set[str]):
-        self.next = 0
-        for name in taken:
-            m = _RESERVED.match(name)
-            if m:
-                self.next = max(self.next, int(m.group(1)) + 1)
+        self.next = max((int(n[2:]) + 1 for n in taken
+                         if n[:2] in ("_N", "_R") and n[2:].isdecimal()),
+                        default=0)
 
-    def concept(self) -> str:
-        name = f"_N{self.next}"
-        self.next += 1
-        return name
-
-    def role(self) -> str:
-        name = f"_R{self.next}"
+    def __call__(self, family: str) -> str:
+        """The next name of a family: "N" for concepts, "R" for roles."""
+        name = f"_{family}{self.next}"
         self.next += 1
         return name
 
@@ -86,7 +76,7 @@ def normalize(kb: K.DKB | P.SurfaceKB) -> K.DKB:
         if not inverted:
             return base
         if base not in inv_roles:
-            name = fresh.role()
+            name = fresh("R")
             inv_roles[base] = name
             helpers.append(K.inv(base, name))
         return inv_roles[base]
@@ -96,7 +86,7 @@ def normalize(kb: K.DKB | P.SurfaceKB) -> K.DKB:
         with an r-successor, so -_N(x) expresses having none."""
         r = role_in_place(term)
         if r not in subex_helper:
-            name = fresh.concept()
+            name = fresh("N")
             subex_helper[r] = name
             helpers.append(K.subex(r, name))
         return subex_helper[r]
@@ -106,7 +96,7 @@ def normalize(kb: K.DKB | P.SurfaceKB) -> K.DKB:
         r-successor."""
         r = role_in_place(term)
         if r not in supex_helper:
-            name = fresh.concept()
+            name = fresh("N")
             supex_helper[r] = name
             helpers.append(K.supex(name, r))
         return supex_helper[r]

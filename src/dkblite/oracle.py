@@ -31,17 +31,16 @@ transfer exactly because every positive consequence has a single
 premise, so merging subjects never enables a derivation the chase could
 not make in some column.
 
-Queries are read off the merged structure, an aux constant aux_i standing
-for the column of existential axiom i.  A positive query holds there
-exactly when some Skolem constant of axiom i satisfies it in the chase:
-the merge sends each Skolem constant of axiom i to column i, and nothing
-else lands in that column.
+The column of existential axiom i is its aux constant aux_i, the one
+kb.aux_constants gives the translation, so queries are read off the merged
+structure as written.  A positive query on aux_i holds there exactly when
+some Skolem constant of axiom i satisfies it in the chase: the merge sends
+each of them to column i, and nothing else lands in that column.
 """
 
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
@@ -216,7 +215,10 @@ def _negative_closure(walk, rules: list[_Rule], excepted: Excepted,
                       universe: list[str], positives: set[Atom]) -> set[Atom]:
     """The negative facts over the given universe: negated assertions,
     irreflexivity, the two sides of each disjointness, and then the
-    contrapositives of the inclusion rules to a fixpoint."""
+    contrapositives of the inclusion rules to a fixpoint, semi-naively:
+    each round reads only the facts the last one added.  That is exact, as
+    each contrapositive has one premise and `A [= exists R` can newly fire
+    only at a subject whose last R-edge was just denied."""
     negatives: set[Atom] = set()
     for ax, d in walk:
         if ax.shape in (K.NEG_CONCEPT_ASSERTION, K.NEG_ROLE_ASSERTION) \
@@ -233,11 +235,11 @@ def _negative_closure(walk, rules: list[_Rule], excepted: Excepted,
                           if name in other and not excepted(ax, d, args)}
 
     supex = [(ax, d) for ax, d in walk if ax.shape == K.SUPEX]
-    changed = True
-    while changed:
+    delta = set(negatives)
+    while delta:
         fresh: set[Atom] = set()
         for rule in rules:
-            for name, args in negatives:
+            for name, args in delta:
                 if name != rule.conclusion:
                     continue
                 for b in _bindings(rule.pvars, dict(zip(rule.cvars, args)),
@@ -247,11 +249,12 @@ def _negative_closure(walk, rules: list[_Rule], excepted: Excepted,
                         fresh.add((rule.premise, _at(b, rule.pvars)))
         for ax, d in supex:
             y, r = ax.args
-            fresh |= {(y, (e,)) for e in universe
+            subjects = {args[0] for name, args in delta if name == r}
+            fresh |= {(y, (e,)) for e in subjects
                       if not excepted(ax, d, (e,))
                       and all((r, (e, f)) in negatives for f in universe)}
-        changed = not fresh <= negatives
-        negatives |= fresh
+        delta = fresh - negatives
+        negatives |= delta
     return negatives
 
 
@@ -266,12 +269,7 @@ class _Chase:
     merged_pos: set[Atom]
     merged_neg: set[Atom]
     consistent: bool
-    tag_of: list[str]                    # axiom index -> column name
-
-
-def _tag_names(kb: K.DKB) -> list[str]:
-    # '~' cannot occur in declared names, so columns never collide.
-    return [f"~aux{i}" for i in range(len(kb.supex_axioms()))]
+    columns: tuple[str, ...]             # axiom index -> column name
 
 
 def _chase(kb: K.DKB, chi: frozenset[K.ClashingAssumption],
@@ -291,15 +289,15 @@ def _chase(kb: K.DKB, chi: frozenset[K.ClashingAssumption],
     rules = _rules(walk)
     universe, positives, skolems = _chase_positives(
         walk, rules, excepted, individuals, chi, depth_cap)
-    tag_of = _tag_names(kb)
-    q = {term: tag_of[i] for term, i in skolems.items()}
-    merged_universe = list(individuals) + tag_of
+    columns = kb.aux_constants()
+    q = {term: columns[i] for term, i in skolems.items()}
+    merged_universe = list(individuals + columns)
     merged_pos = {(name, tuple(q.get(t, t) for t in args))
                   for name, args in positives}
     merged_neg = _negative_closure(walk, rules, excepted, merged_universe,
                                    merged_pos)
     return _Chase(universe, positives, skolems, merged_universe, merged_pos,
-                  merged_neg, not (merged_pos & merged_neg), tag_of)
+                  merged_neg, not (merged_pos & merged_neg), columns)
 
 
 def _clash(ch: _Chase, ca: K.ClashingAssumption) -> ClashingSet | None:
@@ -369,9 +367,9 @@ def _justified_chases(kb: K.DKB, depth_cap: int) \
 def _to_model(ch: _Chase) -> HerbrandModel:
     # A negated fact at a column stands for that fact at each Skolem
     # constant of the column's axiom.
-    expansion: dict[str, list[str]] = {t: [] for t in ch.tag_of}
+    expansion: dict[str, list[str]] = {t: [] for t in ch.columns}
     for term, i in ch.skolems.items():
-        expansion[ch.tag_of[i]].append(term)
+        expansion[ch.columns[i]].append(term)
     negatives = {(name, combo) for name, args in ch.merged_neg
                  for combo in itertools.product(
                      *(expansion.get(a, [a]) for a in args))}
@@ -417,27 +415,14 @@ def oracle_models(kb: K.DKB, depth_cap: int = 3) \
             for chi, ch in _justified_chases(kb.dedup(), depth_cap)]
 
 
-_AUX_NAME = re.compile(r"aux_+(\d+)\Z")
-
-
 def oracle_answer(kb: K.DKB, query: K.Axiom, depth_cap: int = 3) -> bool:
     """True iff the query holds in every justified model, read off each
-    model's merged structure: an aux constant aux_i that is not a named
-    individual stands for the column of existential axiom i, so in a
-    positive query it matches any Skolem constant of that axiom."""
+    model's merged structure: the aux constant aux_i of kb.aux_constants
+    is the column of existential axiom i, so in a positive query it
+    matches any Skolem constant of that axiom."""
     if not query.is_assertion:
         raise ValueError(f"not a ground assertion query: {query.text()}")
-    kb = kb.dedup()
-    tags = _tag_names(kb)
-
-    def column(term: str) -> str:
-        m = _AUX_NAME.match(term)
-        if term in kb.vocabulary.individuals or not m \
-                or int(m.group(1)) >= len(tags):
-            return term
-        return tags[int(m.group(1))]
-
-    atom = (query.args[0], tuple(column(t) for t in query.args[1:]))
+    atom = (query.args[0], query.args[1:])
     positive = query.shape in (K.CONCEPT_ASSERTION, K.ROLE_ASSERTION)
     return all(atom in (ch.merged_pos if positive else ch.merged_neg)
-               for _chi, ch in _justified_chases(kb, depth_cap))
+               for _chi, ch in _justified_chases(kb.dedup(), depth_cap))

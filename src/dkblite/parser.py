@@ -15,14 +15,14 @@ is otherwise insignificant.  Statement forms:
 side of a role inclusion and each role of Dis, Inv and Irr; a role
 assertion takes none (`R^-(a,b)` is rejected).  D(...) wraps only an
 axiom: `D(a)` and `D(a,b)` assert a predicate named D.
+Names follow kb.NAME; `exists` (kb.KEYWORDS) is a keyword, never a name.
 Names are auto-registered by use: an uppercase-initial name in a concept
 position is a concept, any name in a role position is a role, and a
-lowercase-initial argument is an individual; declarations override the
-case convention.  A bare inclusion `X [= Y` reads as a role inclusion
-when both names are known roles, otherwise as a concept inclusion.
-`exists` is a keyword and never a name.  Names starting with '_' are
-reserved for the normalizer.  `Ref(R)` is recognized and rejected: the
-semantics excludes reflexivity axioms.
+lowercase-initial argument is an individual (case past any leading '_');
+declarations override the case convention.  A bare inclusion `X [= Y`
+reads as a role inclusion when both names are known roles, otherwise as
+a concept inclusion.  `Ref(R)` is recognized and rejected: the semantics
+excludes reflexivity axioms.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ _TOKEN = re.compile(
     r"(?P<ws>[ \t\r]+)|(?P<nl>\n)|(?P<comment>%[^\n]*)"
     r"|(?P<incl>\[=)|(?P<inv>\^-)|(?P<lp>\()|(?P<rp>\))"
     r"|(?P<comma>,)|(?P<dot>\.)|(?P<minus>-)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<bad>.)")
+    r"|(?P<name>" + K.NAME + r")|(?P<bad>.)")
 
 
 def _tokenize(text: str) -> list[_Tok]:
@@ -102,11 +102,8 @@ def _tokenize(text: str) -> list[_Tok]:
             continue
         if kind == "bad":
             raise ParseError(line, col, f"unexpected character {value!r}")
-        if kind == "name" and value.startswith("_"):
-            raise ParseError(line, col,
-                             f"{value!r}: names starting with '_' are reserved")
-        if value == "exists":
-            kind = "exists"  # a keyword, never a name
+        if value in K.KEYWORDS:
+            kind = value  # a keyword, never a name
         toks.append(_Tok(kind, value, line, col))
         col += len(value)
     toks.append(_Tok("eof", "", line, col))
@@ -331,10 +328,15 @@ def _register_statement(st, reg: _Registry) -> None:
                 reg.add("roles", side.name)
 
 
+def _upper_initial(name: str) -> bool:
+    """The case convention reads the first letter after any leading '_'."""
+    return name.lstrip("_")[:1].isupper()
+
+
 def _register_individual(tok: _Tok, reg: _Registry) -> None:
     if tok.value in reg.individuals:
         return
-    if tok.value[0].isupper():
+    if _upper_initial(tok.value):
         raise ParseError(tok.line, tok.column,
                          f"{tok.value!r}: individuals are lowercase-initial "
                          "(or declare it with 'individual')",
@@ -349,7 +351,7 @@ def _concept_name(tok: _Tok, reg: _Registry) -> str:
         raise ParseError(tok.line, tok.column,
                          f"{tok.value!r} is used as both a concept and a role",
                          kind="unknown-construct")
-    if not tok.value[0].isupper():
+    if not _upper_initial(tok.value):
         raise ParseError(tok.line, tok.column,
                          f"{tok.value!r}: concepts are uppercase-initial "
                          "(or declare it with 'concept')",

@@ -9,8 +9,8 @@ a chain (const/first/next/last) so that "x has no r-successor among all
 constants" is computable by recursion along the chain.
 
 Every right-existential axiom, strict or defeasible, owns one auxiliary
-constant aux_<i> that stands for the class of successors it introduces;
-numbering follows axiom order, strict before defeasible.
+constant aux_<i> of kb.aux_constants, standing for the successors it
+introduces; numbering follows axiom order, strict before defeasible.
 
 Default negation appears exclusively on the ovr predicate, and only in
 application rules.  Overriding rules carry a nom(x) guard on their
@@ -29,8 +29,6 @@ from typing import NamedTuple
 
 from . import kb as K
 from .program import Literal, Program, Rule, lit, parse_asp_text
-
-AUX_PREFIX = "aux_"
 
 
 class _Encoding(NamedTuple):
@@ -95,23 +93,6 @@ def schema_rules() -> tuple[Rule, ...]:
     return tuple(replace(r, name=n) for r, n in zip(rules, names, strict=True))
 
 
-def aux_prefix(kb: K.DKB) -> str:
-    """Normally "aux_"; lengthened when a declared name would collide."""
-    names = (set(kb.vocabulary.individuals) | set(kb.vocabulary.concepts)
-             | set(kb.vocabulary.roles))
-    prefix = AUX_PREFIX
-    while any(n.startswith(prefix) for n in names):
-        prefix += "_"
-    return prefix
-
-
-def aux_constants(kb: K.DKB) -> list[str]:
-    """One constant per right-existential axiom, in aux-numbering order
-    (kb.supex_axioms order: strict first, then defeasible)."""
-    prefix = aux_prefix(kb)
-    return [f"{prefix}{i}" for i in range(len(kb.supex_axioms()))]
-
-
 def supporting_facts(constants: tuple[str, ...]) -> tuple[Literal, ...]:
     """const per constant plus the first/next/last chain over them."""
     if not constants:
@@ -129,8 +110,8 @@ def translate(kb: K.DKB) -> Program:
     signature facts, and the supporting constant chain; its candidates
     are the ovr atoms of kb.ca_candidates, in order (see decode_ovr)."""
     kb = kb.dedup()
-    aux = aux_constants(kb)
-    constants = kb.vocabulary.individuals + tuple(aux)
+    aux = kb.aux_constants()
+    constants = kb.vocabulary.individuals + aux
     facts: list[Literal] = []
     facts += [lit("nom", i) for i in kb.vocabulary.individuals]
     facts += [lit("cls", c) for c in kb.vocabulary.concepts]

@@ -81,6 +81,18 @@ def test_worked_example_fidelity(k_dept):
 
 # --- criteria 2 and 3: oracle agreement on the random corpus ---
 
+def _named_negatives_disagree(kb, reports, models) -> bool:
+    """Whether some model's negative literals over named individuals
+    differ from those of the oracle model with the same exception set."""
+    named = set(kb.vocabulary.individuals)
+    oracle = {chi: {(name, args) for name, args in m.negatives
+                    if named.issuperset(args)} for chi, m in models}
+    return any(
+        {(ax.args[0], ax.args[1:]) for ax in r.derived_negative
+         if named.issuperset(ax.args[1:])} != oracle.get(frozenset(r.chi))
+        for r in reports)
+
+
 def test_reasoner_agrees_with_oracle_on_random_corpus():
     kbs = corpus_kbs(240, seed=1806)
     for kb in kbs:
@@ -91,26 +103,43 @@ def test_reasoner_agrees_with_oracle_on_random_corpus():
     t0 = time.perf_counter()
     checked = 0
     mismatches = []
+    chi_mismatches = []
+    negative_mismatches = []
     for kb in kbs:
-        for q in K.named_queries(kb):
+        # One enumeration per KB: the oracle's verdicts are read off its
+        # models, and oracle_answer itself is asked the first named query
+        # and, where there is an existential, one query on aux_0.
+        reports = justified_models(kb)
+        models = oracle_models(kb, depth_cap=12)
+        if {frozenset(r.chi) for r in reports} != {chi for chi, _ in models}:
+            chi_mismatches.append(kb)
+        elif _named_negatives_disagree(kb, reports, models):
+            negative_mismatches.append(kb)
+        queries = K.named_queries(kb)
+        for q in queries:
+            checked += 1
+            oracle = all(m.holds((q.args[0], q.args[1:])) for _, m in models)
+            if bool(entails(kb, q)) != oracle:
+                mismatches.append((kb, q))
+        asked = list(queries[:1])
+        if kb.supex_axioms():
+            asked.append(K.role_assertion(kb.supex_axioms()[0].args[1],
+                                          kb.vocabulary.individuals[0],
+                                          kb.dedup().aux_constants()[0]))
+        for q in asked:
             checked += 1
             if bool(entails(kb, q)) != oracle_answer(kb, q, depth_cap=12):
                 mismatches.append((kb, q))
-    chi_mismatches = []
-    for kb in kbs:
-        ours = {frozenset(r.chi) for r in justified_models(kb)}
-        theirs = {chi for chi, _model in oracle_models(kb, depth_cap=12)}
-        if ours != theirs:
-            chi_mismatches.append(kb)
     elapsed = time.perf_counter() - t0
 
-    ok = not mismatches and not chi_mismatches
+    ok = not mismatches and not chi_mismatches and not negative_mismatches
     _verdict("criterion 2", ok, elapsed, 60.0,
              f"{len(kbs)} KBs, {checked} queries, "
-             f"{len(mismatches)} query and {len(chi_mismatches)} "
-             "exception-set disagreements")
+             f"{len(mismatches)} query, {len(chi_mismatches)} exception-set "
+             f"and {len(negative_mismatches)} negative-literal disagreements")
     assert mismatches == []
     assert chi_mismatches == []
+    assert negative_mismatches == []
     assert len(kbs) >= 200 and checked >= 2000
     assert elapsed < 60.0
 
@@ -134,7 +163,8 @@ def test_reasoner_agrees_with_oracle_on_self_pair_axioms():
                                for _chi, m in models)
                            for q in K.named_queries(kb)]
         if {frozenset(r.chi) for r in reports} != {chi for chi, _ in models} \
-                or _verdicts(reports, kb) != oracle_verdicts:
+                or _verdicts(reports, kb) != oracle_verdicts \
+                or _named_negatives_disagree(kb, reports, models):
             mismatches.append(kb)
     elapsed = time.perf_counter() - t0
     _verdict("self-pair axioms", not mismatches, elapsed, 30.0,

@@ -120,6 +120,18 @@ def test_vocabulary_validation():
         Vocabulary(individuals=("",))
 
 
+@pytest.mark.parametrize("name", [
+    "exists", "sk_0(a)", "~aux0", "1a", "a-b", "é", "a b", "?x", ""])
+def test_names_outside_the_grammar_are_rejected(name):
+    # The parser's grammar is the library's: a keyword, a Skolem term, a
+    # leading digit, punctuation, a non-ASCII letter, white space or a
+    # variable marker never make a name.
+    with pytest.raises(ValueError):
+        Vocabulary(individuals=(name,))
+    with pytest.raises(ValueError):
+        concept_assertion("A", name)
+
+
 def test_dkb_rejects_undeclared_names():
     voc = Vocabulary(concepts=("A",), individuals=("a",))
     with pytest.raises(ValueError):

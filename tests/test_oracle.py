@@ -277,6 +277,30 @@ def test_oracle_answer_dept_queries(k_dept):
     assert not oracle_answer(k_dept, K.concept_assertion("Professor", "bob"))
 
 
+def _successor_kb(other: str) -> K.DKB:
+    """b has an R-successor, which is B through Inv(R,S) and
+    `exists S [= B`; the individual `other` is B in no model."""
+    return K.DKB.from_axioms(
+        strict=(K.concept_assertion("A", "b"), K.supex("A", "R"),
+                K.inv("R", "S"), K.subex("S", "B")),
+        individuals=("b", other))
+
+
+def test_a_name_outside_the_grammar_cannot_pose_as_a_column():
+    # Once accepted, an individual `~aux0` shared the name of the merged
+    # column of `A [= exists R`, and oracle_answer(B(~aux0)) said True.
+    with pytest.raises(ValueError):
+        _successor_kb("~aux0")
+
+
+def test_an_individual_named_like_an_aux_constant_keeps_its_own_verdict():
+    kb = _successor_kb("aux_0")
+    assert kb.aux_constants() == ("aux__0",)
+    assert not oracle_answer(kb, K.concept_assertion("B", "aux_0"))
+    assert oracle_answer(kb, K.concept_assertion("B", "aux__0"))
+    assert oracle_answer(kb, K.role_assertion("S", "aux__0", "b"))
+
+
 def test_oracle_answer_rejects_non_assertion_queries(k_dept):
     with pytest.raises(ValueError, match="assertion"):
         oracle_answer(k_dept, K.subclass("Professor", "DeptMember"))

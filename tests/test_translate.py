@@ -19,8 +19,6 @@ from dkblite.kb import ClashingAssumption, DKB, ca_candidates
 from dkblite.program import Program, export_asp_text, lit, neg, parse_asp_text
 from dkblite.translate import (
     UnknownNameError,
-    aux_constants,
-    aux_prefix,
     decode_output,
     decode_ovr,
     output_atom,
@@ -115,7 +113,7 @@ def test_aux_constant_per_supex_axiom():
         strict=(K.supex("A", "R"), K.subclass("A", "B"), K.supex("B", "R")),
         defeasible=(K.supex("A", "S"),),
     )
-    assert aux_constants(kb) == ["aux_0", "aux_1", "aux_2"]
+    assert kb.aux_constants() == ("aux_0", "aux_1", "aux_2")
     p = translate(kb)
     assert lit("supEx", "A", "R", "aux_0") in p.facts
     assert lit("supEx", "B", "R", "aux_1") in p.facts
@@ -127,8 +125,9 @@ def test_aux_prefix_avoids_user_names():
         strict=(K.supex("A", "R"),),
         individuals=("aux_0",),
     )
-    assert aux_prefix(kb) == "aux__"
-    assert aux_constants(kb) == ["aux__0"]
+    assert kb.aux_constants() == ("aux__0",)
+    assert DKB.from_axioms(strict=(K.supex("aux__", "R"),)).aux_constants() \
+        == ("aux___0",)
     p = translate(kb)
     assert p.constants == ("aux_0", "aux__0")
 
