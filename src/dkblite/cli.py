@@ -18,7 +18,7 @@ from .normalize import normalize
 from .parser import ParseError, parse_dkb, parse_query, render_dkb
 from .program import export_asp_text
 from .reasoner import entails, json_report, justified_models, satisfiable
-from .translate import UnknownNameError, translate
+from .translate import translate
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -76,7 +76,7 @@ def _cmd_entail(kb: K.DKB, args) -> int:
     q = _parse_query_arg(args)
     try:
         res = entails(kb, q, max_ovr=args.max_ovr)
-    except UnknownNameError as e:
+    except K.UnknownNameError as e:
         raise _CliError(EXIT_USAGE, f"--query: {e}")
     if args.format == "json":
         print(json.dumps({"entailed": res.entailed,

@@ -20,6 +20,9 @@ instance is then variable-free, so ground rules are not checked again.
 Answer sets are found by the reduct definition directly: guess which
 default-negated atoms are assumed true, compute the least model of the
 reduct, and keep the guess when the model reproduces it exactly.  The
+least model is counter-based Horn propagation: each call copies the rule
+body counts, blocks the rules of the assumed atoms through precomputed
+lists, and costs the blocked rules plus the derivations it makes.  The
 search space is the assumption universe; guesses outside the least model
 of the negation-free over-approximation cannot be reproduced and are
 skipped.  Strongly negated literals are interned as atoms of their own,
@@ -411,58 +414,56 @@ def reduct(gp: GroundProgram, i: Iterable[Literal]) -> GroundProgram:
 
 
 class _Solver:
-    """Int-encoded forward chainer over one ground program, reusable
-    across assumption subsets."""
+    """Dowling and Gallier's counter-based Horn propagation over one
+    ground program, reusable across guesses.  Built once: `need` (distinct
+    body atoms per rule), `heads`, `roots` (body-less rules), and per atom
+    id `watch` (rules whose body holds it) and `blocks` (rules whose NAF
+    part holds it).  least_ids copies `need`, sets the count of every
+    rule an assumed atom blocks to -1, which no decrement brings back to
+    0, and propagates from the unblocked roots: each derived atom
+    decrements the rules watching it, and a count reaching 0 derives the
+    head.  A call costs the blocked rules plus the derivations; with
+    check it stops at the first complementary pair."""
 
     def __init__(self, gp: GroundProgram):
-        self.index: dict[Literal, int] = {}
-        self.atoms: list[Literal] = []
-        for a in gp.atoms:
-            self.index[a] = len(self.atoms)
-            self.atoms.append(a)
-        self.compl = [self.index.get(a.complement(), -1) for a in self.atoms]
-        self.rules: list[tuple[int, tuple[int, ...], frozenset[int]]] = []
-        self.watch: dict[int, list[int]] = {}
-        for r in gp.rules:
-            body = tuple(sorted({self.index[l] for l in r.body}))
-            naf = frozenset(self.index[l] for l in r.naf)
-            idx = len(self.rules)
-            self.rules.append((self.index[r.head], body, naf))
-            for b in body:
-                self.watch.setdefault(b, []).append(idx)
+        self.atoms = list(gp.atoms)
+        self.index = index = {a: i for i, a in enumerate(self.atoms)}
+        self.compl = [index.get(a.complement(), -1) for a in self.atoms]
+        self.heads = [index[r.head] for r in gp.rules]
+        self.need: list[int] = []
+        self.watch: list[list[int]] = [[] for _ in self.atoms]
+        self.blocks: list[list[int]] = [[] for _ in self.atoms]
+        for rid, r in enumerate(gp.rules):
+            body = {index[l] for l in r.body}
+            self.need.append(len(body))
+            for a in body:
+                self.watch[a].append(rid)
+            for a in {index[l] for l in r.naf}:
+                self.blocks[a].append(rid)
+        self.roots = [rid for rid, n in enumerate(self.need) if not n]
 
     def least_ids(self, assumed: frozenset[int],
                   check: bool = True) -> set[int] | _Inconsistent:
-        counts = []
-        queue: deque[int] = deque()
+        counts = self.need.copy()
+        for a in assumed:
+            for rid in self.blocks[a]:
+                counts[rid] = -1
+        heads, watch, compl = self.heads, self.watch, self.compl
+        stack = [heads[rid] for rid in self.roots if not counts[rid]]
+        push = stack.append
         derived: set[int] = set()
-
-        def derive(a: int) -> bool:
+        while stack:
+            a = stack.pop()
             if a in derived:
-                return True
-            if check and self.compl[a] != -1 and self.compl[a] in derived:
-                return False
+                continue
+            if check and compl[a] in derived:
+                return INCONSISTENT
             derived.add(a)
-            queue.append(a)
-            return True
-
-        active = []
-        for head, body, naf in self.rules:
-            blocked = bool(naf & assumed)
-            active.append(not blocked)
-            counts.append(len(body))
-            if not blocked and not body:
-                if not derive(head):
-                    return INCONSISTENT
-        while queue:
-            a = queue.popleft()
-            for idx in self.watch.get(a, ()):
-                if not active[idx]:
-                    continue
-                counts[idx] -= 1
-                if counts[idx] == 0:
-                    if not derive(self.rules[idx][0]):
-                        return INCONSISTENT
+            for rid in watch[a]:
+                n = counts[rid] - 1
+                counts[rid] = n
+                if not n:
+                    push(heads[rid])
         return derived
 
     def decode(self, ids: set[int]) -> Interpretation:
@@ -472,9 +473,8 @@ class _Solver:
 def least_model(gp: GroundProgram) -> LeastModelResult:
     """Least model of a NAF-free ground program, or INCONSISTENT when a
     complementary pair is derived."""
-    for r in gp.rules:
-        if r.naf:
-            raise ValueError("least_model requires a NAF-free program")
+    if any(r.naf for r in gp.rules):
+        raise ValueError("least_model requires a NAF-free program")
     solver = _Solver(gp)
     out = solver.least_ids(frozenset())
     return out if out is INCONSISTENT else solver.decode(out)

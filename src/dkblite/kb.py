@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import product
-from typing import NamedTuple
+from typing import Collection, NamedTuple
 
 # The twelve normal-form axiom shapes.
 CONCEPT_ASSERTION = "concept_assertion"
@@ -71,6 +71,11 @@ ASSERTION_SHAPES = frozenset(
 #   sk_<i>(t)     oracle Skolem terms: '(' is outside the grammar
 NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 KEYWORDS = frozenset({"exists"})
+# Names the surface syntax keeps for role axioms (Dis, Inv, Irr) and for
+# the rejected reflexivity axiom (Ref): `Irr(a).` reads as an axiom, so
+# no concept or role takes one, and every KB renders as text that reads
+# back.  Individuals may.
+RESERVED = frozenset({"Dis", "Inv", "Irr", "Ref"})
 _NAME = re.compile(NAME)
 
 
@@ -172,6 +177,9 @@ class Vocabulary:
                 _check_name(name)
             if len(set(group)) != len(group):
                 raise ValueError("duplicate name within a sort")
+        for name in self.concepts + self.roles:
+            if name in RESERVED:
+                raise ValueError(f"reserved predicate name: {name!r}")
         cs, rs, inds = set(self.concepts), set(self.roles), set(self.individuals)
         if cs & rs or cs & inds or rs & inds:
             clash = (cs & rs) | (cs & inds) | (rs & inds)
@@ -270,6 +278,24 @@ def ca_candidates(kb: DKB) -> tuple[ClashingAssumption, ...]:
     inds = kb.vocabulary.individuals
     return tuple(ClashingAssumption(ax, tup) for ax in kb.defeasible
                  for tup in product(inds, repeat=CA_ARITY[ax.shape]))
+
+
+class UnknownNameError(ValueError):
+    """A query names a concept, role or individual its KB lacks."""
+
+
+def check_query(query: Axiom, concepts: Collection[str],
+                roles: Collection[str], individuals: Collection[str]) -> None:
+    """Raise ValueError unless the query is an assertion, and
+    UnknownNameError unless each of its names is among the given names
+    of its sort; the individuals of a KB's queries include its aux
+    constants."""
+    if not query.is_assertion:
+        raise ValueError(f"not a ground assertion query: {query.text()}")
+    known = {_C: concepts, _R: roles, _I: individuals}
+    for name, sort in zip(query.args, SORTS[query.shape]):
+        if name not in known[sort]:
+            raise UnknownNameError(f"unknown {sort} {name!r}")
 
 
 def named_queries(kb: DKB) -> tuple[Axiom, ...]:

@@ -419,10 +419,14 @@ def oracle_answer(kb: K.DKB, query: K.Axiom, depth_cap: int = 3) -> bool:
     """True iff the query holds in every justified model, read off each
     model's merged structure: the aux constant aux_i of kb.aux_constants
     is the column of existential axiom i, so in a positive query it
-    matches any Skolem constant of that axiom."""
-    if not query.is_assertion:
-        raise ValueError(f"not a ground assertion query: {query.text()}")
+    matches any Skolem constant of that axiom.  Like entails, raises
+    ValueError for a query that is not an assertion and
+    kb.UnknownNameError for a name the KB lacks."""
+    kb = kb.dedup()
+    v = kb.vocabulary
+    K.check_query(query, v.concepts, v.roles,
+                  v.individuals + kb.aux_constants())
     atom = (query.args[0], query.args[1:])
     positive = query.shape in (K.CONCEPT_ASSERTION, K.ROLE_ASSERTION)
     return all(atom in (ch.merged_pos if positive else ch.merged_neg)
-               for _chi, ch in _justified_chases(kb.dedup(), depth_cap))
+               for _chi, ch in _justified_chases(kb, depth_cap))

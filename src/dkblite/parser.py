@@ -15,7 +15,8 @@ is otherwise insignificant.  Statement forms:
 side of a role inclusion and each role of Dis, Inv and Irr; a role
 assertion takes none (`R^-(a,b)` is rejected).  D(...) wraps only an
 axiom: `D(a)` and `D(a,b)` assert a predicate named D.
-Names follow kb.NAME; `exists` (kb.KEYWORDS) is a keyword, never a name.
+Names follow kb.NAME; `exists` (kb.KEYWORDS) is a keyword, never a name,
+and Dis, Inv, Irr and Ref (kb.RESERVED) name no concept or role.
 Names are auto-registered by use: an uppercase-initial name in a concept
 position is a concept, any name in a role position is a role, and a
 lowercase-initial argument is an individual (case past any leading '_');
@@ -289,6 +290,10 @@ class _Registry:
     individuals: dict[str, _Tok] = field(default_factory=dict)
 
     def add(self, sort: str, tok: _Tok) -> None:
+        if sort != "individuals" and tok.value in K.RESERVED:
+            raise ParseError(tok.line, tok.column,
+                             f"{tok.value!r} is a reserved predicate name",
+                             kind="unknown-construct")
         table = getattr(self, sort)
         table.setdefault(tok.value, tok)
 

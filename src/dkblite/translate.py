@@ -28,6 +28,7 @@ from dataclasses import replace
 from typing import NamedTuple
 
 from . import kb as K
+from .kb import UnknownNameError  # noqa: F401  (output_atom raises it)
 from .program import Literal, Program, Rule, lit, parse_asp_text
 
 
@@ -137,10 +138,6 @@ def translate(kb: K.DKB) -> Program:
     return Program(schema_rules(), tuple(facts), constants, candidates)
 
 
-class UnknownNameError(ValueError):
-    pass
-
-
 def _signature(p: Program) -> tuple[set[str], set[str], set[str]]:
     concepts = {f.args[0] for f in p.facts if f.pred == "cls"}
     roles = {f.args[0] for f in p.facts if f.pred == "rol"}
@@ -151,13 +148,7 @@ def output_atom(p: Program, query: K.Axiom) -> Literal:
     """The derived literal whose membership in every answer set decides
     the query.  Positive queries map onto instd/tripled; the negated
     assertion shapes map onto the strongly negated literals (extension)."""
-    if not query.is_assertion:
-        raise ValueError(f"not a ground assertion query: {query.text()}")
-    concepts, roles, constants = _signature(p)
-    known = {"concept": concepts, "role": roles, "individual": constants}
-    for name, sort in zip(query.args, K.SORTS[query.shape]):
-        if name not in known[sort]:
-            raise UnknownNameError(f"unknown {sort} {name!r}")
+    K.check_query(query, *_signature(p))
     return Literal(*_signed(_ENCODING[query.shape].output),
                    _swap(query.shape, query.args))
 

@@ -8,13 +8,22 @@ import random
 
 import pytest
 
-from corpus import corpus_kbs, dept_kb, dept_text, flat_sample, scale_kb
+from corpus import (
+    corpus_kbs,
+    dept_kb,
+    dept_text,
+    flat_sample,
+    nixon_text,
+    scale_kb,
+    self_pair_kbs,
+)
 from dkblite import kb as K
 from dkblite.cli import EXIT_OK, main
 from dkblite.engine import (
     INCONSISTENT,
     GroundProgram,
     ResourceLimitError,
+    _Solver,
     answer_sets,
     ground,
     iter_answer_sets,
@@ -22,6 +31,8 @@ from dkblite.engine import (
     make_ground_program,
     reduct,
 )
+from dkblite.normalize import normalize
+from dkblite.parser import parse_dkb
 from dkblite.program import (
     Literal,
     Program,
@@ -249,6 +260,84 @@ def test_least_model_dept_strict_fragment_closes_negatives(k_dept):
         assert neg("tripled", "bob", "hasCourse", c) in m
     assert lit("all_nrel", "bob", "hasCourse") in m
     assert lit("all_nrel", "alice", "hasCourse") not in m
+
+
+# --- the least-model kernel against the naive fixpoint it replaced ---
+
+
+def naive_least_model(gp: GroundProgram, assumed: frozenset[Literal],
+                      check: bool):
+    """Loop over the rules of the reduct under assumed until nothing
+    changes, then look for a complementary pair."""
+    model: set[Literal] = set()
+    changed = True
+    while changed:
+        changed = False
+        for r in gp.rules:
+            if (r.head not in model and assumed.isdisjoint(r.naf)
+                    and model.issuperset(r.body)):
+                model.add(r.head)
+                changed = True
+    if check and any(l.complement() in model for l in model):
+        return INCONSISTENT
+    return model
+
+
+def kernel_least_model(gp: GroundProgram, assumed: frozenset[Literal],
+                       check: bool):
+    solver = _Solver(gp)
+    out = solver.least_ids(frozenset(solver.index[a] for a in assumed),
+                           check)
+    return out if out is INCONSISTENT else solver.decode(out)
+
+
+def test_kernel_agrees_with_the_naive_fixpoint():
+    kbs = corpus_kbs(240, 1806) + self_pair_kbs(400, 11) + flat_sample()
+    kbs += [dept_kb(2 * s, s) for s in range(1, 6)]
+    kbs += [normalize(parse_dkb(nixon_text(k))) for k in (1, 2, 3)]
+    rng = random.Random(7)
+    calls = 0
+    for kb in kbs:
+        gp = ground(translate(kb))
+        universe = gp.ovr_universe
+        guesses = [(), universe] + [
+            [a for a in universe if rng.random() < 0.5] for _ in range(6)]
+        for guess in guesses:
+            for check in (False, True):
+                x = frozenset(guess)
+                assert kernel_least_model(gp, x, check) == \
+                    naive_least_model(gp, x, check)
+                calls += 1
+    assert calls == (240 + 400 + 510 + 5 + 3) * 8 * 2
+
+
+p, q, r, s = (lit(n) for n in "pqrs")
+
+
+@pytest.mark.parametrize("rules, assumed, check, want", [
+    # a duplicate positive body literal counts once
+    ([Rule(p), Rule(q, (p, p))], set(), True, {p, q}),
+    # a duplicate NAF literal blocks once, and blocks nothing unassumed
+    ([Rule(p, (), (q, q))], {q}, True, set()),
+    ([Rule(p, (), (q, q))], set(), True, {p}),
+    # either NAF atom blocks its rule
+    ([Rule(p, (), (q, r))], {r}, True, set()),
+    # a blocked body-less rule derives nothing
+    ([Rule(p, (), (q,)), Rule(r, (p,))], {q}, True, set()),
+    # a blocked rule stays blocked when propagation reaches its body
+    ([Rule(p), Rule(s), Rule(r, (p, s), (q,))], {q}, True, {p, s}),
+    # an assumed atom in no NAF body blocks nothing
+    ([Rule(p), Rule(q, (p,), (r,))], {p}, True, {p, q}),
+    # a complementary pair is returned without check, refused with it
+    ([Rule(p), Rule(neg("p"), (p,))], set(), False, {p, neg("p")}),
+    ([Rule(p), Rule(neg("p"), (p,))], set(), True, INCONSISTENT),
+], ids=["dup-body", "dup-naf-assumed", "dup-naf-free", "second-naf",
+        "blocked-root", "blocked-later", "assumed-unused", "pair-unchecked",
+        "pair-checked"])
+def test_kernel_edge_cases(rules, assumed, check, want):
+    gp = make_ground_program(rules)
+    assert kernel_least_model(gp, frozenset(assumed), check) == want
+    assert naive_least_model(gp, frozenset(assumed), check) == want
 
 
 # --- answer_sets ---

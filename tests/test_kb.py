@@ -10,6 +10,7 @@ from corpus import EVERY_SHAPE
 from dkblite.kb import (
     CA_ARITY,
     DKB,
+    RESERVED,
     Axiom,
     ClashingAssumption,
     Vocabulary,
@@ -130,6 +131,18 @@ def test_names_outside_the_grammar_are_rejected(name):
         Vocabulary(individuals=(name,))
     with pytest.raises(ValueError):
         concept_assertion("A", name)
+
+
+@pytest.mark.parametrize("name", ["Dis", "Inv", "Irr", "Ref"])
+def test_reserved_predicate_names_name_no_concept_or_role(name):
+    # The surface syntax opens an axiom with these names, so `Irr(a).`
+    # could never state a concept assertion; an individual may take one.
+    assert name in RESERVED
+    with pytest.raises(ValueError, match="reserved predicate name"):
+        Vocabulary(concepts=(name,))
+    with pytest.raises(ValueError, match="reserved predicate name"):
+        Vocabulary(roles=(name,))
+    assert Vocabulary(individuals=(name,)).individuals == (name,)
 
 
 def test_dkb_rejects_undeclared_names():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from corpus import (
     corpus_kbs,
     every_shape_kb,
@@ -110,6 +112,20 @@ def test_every_shape_round_trips_through_surface_text():
     for strict, defeasible in ((True, False), (False, True), (True, True)):
         kb = every_shape_kb(strict, defeasible)
         assert normalize(parse_dkb(render_dkb(kb))) == kb
+
+
+@pytest.mark.parametrize("name", sorted(K.RESERVED))
+def test_a_kb_its_rendering_would_misread_is_refused(name):
+    # Rendered, `Irr(a).` read as an irreflexivity axiom, `Ref(a).` was
+    # rejected, and `Dis(a,b).` and `Inv(a,b).` read as role axioms; the
+    # library now refuses such a KB where it is built.  An individual
+    # with the name still renders and reads back.
+    for ax in (K.concept_assertion(name, "a"),
+               K.role_assertion(name, "a", "b")):
+        with pytest.raises(ValueError, match="reserved predicate name"):
+            K.DKB.from_axioms(strict=(ax,))
+    kb = K.DKB.from_axioms(strict=(K.concept_assertion("A", name),))
+    assert normalize(parse_dkb(render_dkb(kb))) == kb
 
 
 def _up_to_vocabulary_order(kb: K.DKB) -> tuple:

@@ -271,6 +271,12 @@ _DIAGNOSTICS = [
                         "expected a role name, found 'exists'")),
     ("A [= exists exists.", (1, 13, "syntax",
                              "expected a role name, found 'exists'")),
+    # Dis, Inv, Irr and Ref name no concept or role
+    ("A [= Irr.", (1, 6, _U, "'Irr' is a reserved predicate name")),
+    ("concept Ref. A(a).", (1, 9, _U, "'Ref' is a reserved predicate name")),
+    ("role Dis. R(a,b).", (1, 6, _U, "'Dis' is a reserved predicate name")),
+    ("A [= exists Inv^-.", (1, 13, _U,
+                            "'Inv' is a reserved predicate name")),
 ]
 
 
@@ -349,7 +355,9 @@ def test_fuzzed_documents_parse_or_raise_parse_error_only():
         else:
             queries += 1
             outcomes.append([q.shape, q.args])
-    assert (accepted, queries) == (855, 187)
+    # Two documents, `concept Ref .` and `A [= exists Inv .`, were
+    # accepted until kb.RESERVED kept those names from concepts and roles.
+    assert (accepted, queries) == (853, 187)
     digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
     assert digest == (
-        "1145495720a0f9bc2118317063054c86311bd7c63793fcdb897f3ba05350bc24")
+        "e8f65b4224d4693b10bb2c120b02a9b0e86a9168f6294e7b078df1890ff5933f")

@@ -242,6 +242,34 @@ def test_query_answers_match_the_reference(k_dept):
     assert checked >= 40
 
 
+def test_entails_and_the_oracle_refuse_the_same_queries(k_dept):
+    # A name the KB lacks is an error on both sides, not a verdict: the
+    # oracle read hasCourse(bob,aux__0) as False, and any query as True
+    # on a KB without models.  `twice` repeats its existential, which
+    # both sides count once, so it owns aux_0 only.
+    twice = K.DKB.from_axioms(strict=(K.concept_assertion("A", "a"),
+                                      K.supex("A", "R"), K.supex("A", "R")))
+    cases = [
+        (k_dept, K.concept_assertion("DeptMember", "zed")),
+        (k_dept, K.concept_assertion("Nope", "bob")),
+        (k_dept, K.role_assertion("nope", "bob", "alice")),
+        (k_dept, K.role_assertion("hasCourse", "bob", "aux__0")),
+        (k_dept, K.role_assertion("hasCourse", "bob", "aux_1")),
+        (k_dept, K.neg_concept_assertion("DeptMember", "aux_1")),
+        (unsat_kb(), K.concept_assertion("A", "aux_0")),
+        (twice, K.role_assertion("R", "a", "aux_1")),
+    ]
+    for ask in (entails, oracle_answer):
+        for kb, q in cases:
+            with pytest.raises(K.UnknownNameError) as e:
+                ask(kb, q)
+            assert e.type is K.UnknownNameError, q.text()
+        with pytest.raises(ValueError, match="not a ground assertion"):
+            ask(k_dept, K.subclass("Professor", "DeptMember"))
+    q = K.role_assertion("R", "a", "aux_0")
+    assert entails(twice, q) and oracle_answer(twice, q)
+
+
 # --- structural properties of the enumerated models ---
 
 
